@@ -34,7 +34,6 @@ from .loopsoup import (
     LoopSoupSample,
     OccupationField,
     LoopSoupSampler,
-    sample_loop_soup,
     occupation_field,
     loop_clusters,
 )

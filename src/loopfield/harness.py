@@ -245,12 +245,27 @@ def parse_network_spec(spec) -> Network:
 # -- experiments ---------------------------------------------------------------
 
 
+def _required(cfg: ExperimentConfig, name: str):
+    if name not in cfg.parameters:
+        raise ConfigError(f"parameter {name!r}: required by experiment {cfg.experiment!r}")
+    return cfg.parameters[name]
+
+
+def _vertex(cfg: ExperimentConfig, net: Network, name: str) -> int:
+    x = int(_required(cfg, name))
+    if not 0 <= x < net.vertex_count:
+        raise ConfigError(
+            f"parameter {name!r}: vertex {x} outside the network's {net.vertex_count} vertices"
+        )
+    return x
+
+
 def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
+    x = _vertex(cfg, net, "x")
+    y = _vertex(cfg, net, "y")
     gop = compute_green(net)
     th = Thresholds.from_params(cfg.parameters)
-    x = int(cfg.parameters["x"])
-    y = int(cfg.parameters["y"])
     exact = connectivity_probability(gop, x, y)
 
     def one(_i, rng):
@@ -276,9 +291,10 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
 
 def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
+    edges = _required(cfg, "edges")
     gop = compute_green(net)
     th = Thresholds.from_params(cfg.parameters)
-    edge_ids = sorted(net.edge_id(u, v) for u, v in cfg.parameters["edges"])
+    edge_ids = sorted(net.edge_id(u, v) for u, v in edges)
     exact = sqrt_det_ratio(net, edge_ids)
     marked = set(edge_ids)
     sampler = LoopSoupSampler(net, gop, 0.5)

@@ -4,10 +4,18 @@ The rooted-loop measure assigns mass ``tr(P^n) / n`` to skeletons of length
 ``n >= 2``, where ``P`` is the jump matrix ``P(x, y) = C(x, y) / lambda(x)``;
 its total mass is ``m = -log det(I - P)``.  A soup of intensity ``alpha`` is
 sampled as a Poisson number of loops with that length law, each skeleton
-filled in by bridge conditioning through cached matrix powers, each visit
-decorated with an exponential holding time at the vertex rate.  Loops that
-never leave a vertex are not enumerated: their total duration at a vertex is
-Gamma(alpha, lambda(x)) and is drawn directly as the trivial occupation.
+filled in by bridge conditioning on the root's columns ``P^m e_root``, each
+visit decorated with an exponential holding time at the vertex rate.  Loops
+that never leave a vertex are not enumerated: their total duration at a vertex
+is Gamma(alpha, lambda(x)) and is drawn directly as the trivial occupation.
+
+No matrix power is cached.  The sampler keeps the sparse jump matrix, the
+length law and one root law of n doubles per length, and its build holds one
+dense power at a time, so memory is O(n^2 + cutoff * n) for n alive vertices
+rather than the (cutoff + 1) n^2 of a power cache.  A skeleton draws the same
+uniforms in the same order as a sampler that caches every dense power up to
+the cutoff, and picks the same vertices; the tests keep such a sampler as the
+reference.
 
 Sampling rooted loops with the 1/n weight already reproduces the unrooted
 loop mass; rotations are not deduplicated because every statistic computed
@@ -20,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .clusters import ClusterPartition, build_partition
 from .green import GreenOperator
@@ -30,7 +39,6 @@ __all__ = [
     "LoopSoupSample",
     "OccupationField",
     "LoopSoupSampler",
-    "sample_loop_soup",
     "occupation_field",
     "loop_clusters",
 ]
@@ -73,11 +81,14 @@ class OccupationField:
 class LoopSoupSampler:
     """Reusable sampler for one (network, alpha) pair.
 
-    Matrix powers of the jump matrix are computed once, up to the length
-    cutoff, and shared by every replica.  The cutoff is chosen so that the
-    discarded tail of the length law has mass below ``length_cutoff_eps * m``,
-    using the geometric bound ``tr(P^n) <= N rho^n`` with ``rho`` the spectral
-    radius.
+    The length law and the per-length root laws are computed once from the
+    diagonals of the jump-matrix powers ``P^k``, ``k <= cutoff``, iterated one
+    sparse product at a time; no power is kept.  The cutoff is chosen so that
+    the discarded tail of the length law has mass below
+    ``length_cutoff_eps * m``, using the geometric bound
+    ``tr(P^n) <= N rho^n`` with ``rho`` the spectral radius.  Each skeleton is
+    filled in from the root's columns ``P^m e_root``, recomputed per loop by
+    sparse mat-vecs.
     """
 
     def __init__(
@@ -98,27 +109,33 @@ class LoopSoupSampler:
         alive = net.alive
         lam = net.lambda_total[alive]
         n = alive.size
-        p = np.zeros((n, n))
+        rows, cols, vals = [], [], []
         sym = np.zeros((n, n))
         pos = net.alive_pos
         for u, v, c in net.edges:
             pu, pv = pos[u], pos[v]
             if pu < 0 or pv < 0:
                 continue
-            p[pu, pv] = c / lam[pu]
-            p[pv, pu] = c / lam[pv]
+            rows += [pu, pv]
+            cols += [pv, pu]
+            vals += [c / lam[pu], c / lam[pv]]
             sym[pu, pv] = sym[pv, pu] = c / math.sqrt(lam[pu] * lam[pv])
+        # CSR keeps each row's neighbours in ascending order, the order in
+        # which a step's cumulative weights are summed
+        p = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+        p.sort_indices()
         self._p = p
+        # by columns: column x holds the one-step weights of the paths ending at x
+        self._p_csc = p.tocsc()
         self._lambda_alive = lam
 
-        if net.edge_count == 0 or not p.any():
+        if p.nnz == 0:
             self.spectral_radius = 0.0
             self.mass = 0.0
             self.length_cutoff = 1
             self.truncated_tail = 0.0
             self._length_values = np.empty(0, dtype=int)
             self._length_cdf = np.empty(0)
-            self._powers = [np.eye(n)]
             self._root_cdfs = {}
             return
 
@@ -129,7 +146,7 @@ class LoopSoupSampler:
             )
         self.spectral_radius = radius
 
-        sign, logdet = np.linalg.slogdet(np.eye(n) - p)
+        sign, logdet = np.linalg.slogdet(np.eye(n) - p.toarray())
         if sign <= 0:
             raise ValueError("det(I - P) must be positive on a transient network")
         self.mass = -float(logdet)
@@ -144,33 +161,43 @@ class LoopSoupSampler:
                 raise ValueError("length cutoff exceeds limit; spectral radius too close to 1")
         self.length_cutoff = cutoff
 
-        powers = [np.eye(n), p]
-        for _ in range(2, cutoff + 1):
-            powers.append(powers[-1] @ p)
-        self._powers = powers
-
-        q = np.array([np.trace(powers[k]) / k for k in range(2, cutoff + 1)])
+        q = np.empty(cutoff - 1)
+        self._root_cdfs = {}
+        power = p.toarray()
+        for k in range(2, cutoff + 1):
+            power = p @ power
+            q[k - 2] = np.trace(power) / k
+            diag = np.clip(np.diag(power), 0.0, None)
+            s = diag.sum()
+            if s > 0:
+                self._root_cdfs[k] = np.cumsum(diag) / s
         q = np.clip(q, 0.0, None)
         total = float(q.sum())
         self.truncated_tail = max(self.mass - total, 0.0)
         self._length_values = np.arange(2, cutoff + 1)
         self._length_cdf = np.cumsum(q) / total
-        self._root_cdfs = {}
-        for k in range(2, cutoff + 1):
-            diag = np.clip(np.diag(powers[k]), 0.0, None)
-            s = diag.sum()
-            if s > 0:
-                self._root_cdfs[k] = np.cumsum(diag) / s
 
     def _sample_skeleton(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        root = int(np.searchsorted(self._root_cdfs[length], rng.random(), side="right"))
+        # one uniform for the root, then one per step
+        u = rng.random(length)
+        root = int(self._root_cdfs[length].searchsorted(u[0], side="right"))
+        p, p_csc = self._p, self._p_csc
+        # cols[m] = P^m e_root: the weights of the m-step paths ending at root
+        first = np.zeros(p.shape[0])
+        lo, hi = p_csc.indptr[root], p_csc.indptr[root + 1]
+        first[p_csc.indices[lo:hi]] = p_csc.data[lo:hi]
+        cols = [None, first]
+        for _ in range(2, length):
+            cols.append(p @ cols[-1])
+        indptr, indices, data = p.indptr, p.indices, p.data
         verts = np.empty(length, dtype=int)
         verts[0] = root
         cur = root
         for i in range(1, length):
-            w = self._p[cur] * self._powers[length - i][:, root]
-            cs = np.cumsum(w)
-            cur = int(np.searchsorted(cs, rng.random() * cs[-1], side="right"))
+            lo, hi = indptr[cur], indptr[cur + 1]
+            nbrs = indices[lo:hi]
+            cs = (data[lo:hi] * cols[length - i][nbrs]).cumsum()
+            cur = int(nbrs[cs.searchsorted(u[i] * cs[-1], side="right")])
             verts[i] = cur
         return verts
 
@@ -180,7 +207,7 @@ class LoopSoupSampler:
         if self.mass > 0:
             count = int(rng.poisson(self.alpha * self.mass))
             for _ in range(count):
-                pick = int(np.searchsorted(self._length_cdf, rng.random(), side="right"))
+                pick = int(self._length_cdf.searchsorted(rng.random(), side="right"))
                 pick = min(pick, self._length_values.size - 1)
                 length = int(self._length_values[pick])
                 verts = self._sample_skeleton(length, rng)
@@ -190,21 +217,6 @@ class LoopSoupSampler:
         trivial = np.zeros(net.vertex_count)
         trivial[net.alive] = rng.gamma(self.alpha, 1.0 / self._lambda_alive)
         return LoopSoupSample(tuple(loops), trivial, self.alpha)
-
-
-def sample_loop_soup(
-    net: Network,
-    gop: GreenOperator,
-    alpha: float,
-    rng: np.random.Generator,
-    length_cutoff_eps: float = 1e-9,
-) -> LoopSoupSample:
-    """One soup realization; builds a throwaway sampler.
-
-    Experiments that replicate should construct a :class:`LoopSoupSampler`
-    once and call ``sample`` per replica, which shares the cached powers.
-    """
-    return LoopSoupSampler(net, gop, alpha, length_cutoff_eps).sample(rng)
 
 
 def occupation_field(sample: LoopSoupSample) -> OccupationField:

@@ -195,6 +195,25 @@ def test_cli_run_config_and_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["connectivity", "--net", "two-vertex", "--x", "0", "--y", "7"], None),
+        (None, {"experiment": "connectivity", "network": "two-vertex", "parameters": {"y": 1}}),
+        (None, {"experiment": "det-ratio", "network": "two-vertex"}),
+    ],
+    ids=["vertex-out-of-range", "connectivity-without-x", "det-ratio-without-edges"],
+)
+def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, "replicas": 10, **config}))
+        argv = ["run", "--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: parameter ")
+
+
 def test_cli_sampling_commands(tmp_path, capsys):
     assert (
         main(["sample-gff", "--net", "two-vertex", "--replicas", "3", "--seed", "1"]) == 0

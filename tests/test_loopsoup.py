@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from loopfield import (
     loop_clusters,
     occupation_field,
     path_network,
-    sample_loop_soup,
     sqrt_det_ratio,
 )
+from loopfield.harness import parse_network_spec
 from loopfield.stats import half_square_cdf, mc_mean, z_score
 from loopfield.streams import derive_stream
 
@@ -168,10 +169,94 @@ def test_sampler_rejects_bad_parameters(two_vertex):
 
 def test_sample_determinism(two_vertex):
     net, gop = two_vertex
-    a = sample_loop_soup(net, gop, 0.5, derive_stream(37, 4))
-    b = sample_loop_soup(net, gop, 0.5, derive_stream(37, 4))
+    sampler = LoopSoupSampler(net, gop, 0.5)
+    a = sampler.sample(derive_stream(37, 4))
+    b = LoopSoupSampler(net, gop, 0.5).sample(derive_stream(37, 4))
     assert len(a.loops) == len(b.loops)
     for (sa, ha), (sb, hb) in zip(a.loops, b.loops):
         assert sa.vertices == sb.vertices
         assert np.array_equal(ha, hb)
     assert np.array_equal(a.trivial_occupation, b.trivial_occupation)
+
+
+def _reference_sampler(net, alpha, cutoff):
+    """Reference for the sampler's draws: caches every dense power
+    P^0..P^cutoff and draws one scalar uniform per root and per step.
+    Returns ``draw(rng)``."""
+    alive, pos = net.alive, net.alive_pos
+    lam = net.lambda_total[alive]
+    n = alive.size
+    p = np.zeros((n, n))
+    for u, v, c in net.edges:
+        if pos[u] >= 0 and pos[v] >= 0:
+            p[pos[u], pos[v]] = c / lam[pos[u]]
+            p[pos[v], pos[u]] = c / lam[pos[v]]
+    mass = -np.linalg.slogdet(np.eye(n) - p)[1]
+    powers = [np.eye(n), p]
+    for _ in range(2, cutoff + 1):
+        powers.append(powers[-1] @ p)
+    q = np.clip([np.trace(powers[k]) / k for k in range(2, cutoff + 1)], 0.0, None)
+    length_cdf = np.cumsum(q) / q.sum()
+
+    def draw(rng):
+        loops = []
+        for _ in range(int(rng.poisson(alpha * mass))):
+            pick = min(int(np.searchsorted(length_cdf, rng.random(), side="right")), cutoff - 2)
+            length = pick + 2
+            diag = np.clip(np.diag(powers[length]), 0.0, None)
+            root = int(np.searchsorted(np.cumsum(diag) / diag.sum(), rng.random(), side="right"))
+            verts = [root]
+            for i in range(1, length):
+                cs = np.cumsum(p[verts[-1]] * powers[length - i][:, root])
+                verts.append(int(np.searchsorted(cs, rng.random() * cs[-1], side="right")))
+            holds = rng.exponential(1.0 / lam[verts])
+            loops.append((tuple(int(g) for g in alive[verts]), holds))
+        trivial = np.zeros(net.vertex_count)
+        trivial[alive] = rng.gamma(alpha, 1.0 / lam)
+        return loops, trivial
+
+    return draw
+
+
+# not bipartite, so loops of odd length occur
+TRIANGLE = {
+    "vertices": 3,
+    "edges": [[0, 1, 1.0], [1, 2, 2.0], [0, 2, 0.5]],
+    "killing": [0.3, 0.2, 0.4],
+}
+
+
+@pytest.mark.parametrize(
+    "spec", ["two-vertex", "path:3", "grid:3x3", "grid:6x6:k=0.1", TRIANGLE],
+    ids=["two-vertex", "path3", "grid3x3", "grid6x6-k0.1", "triangle"],
+)
+def test_draws_equal_cached_power_reference(spec):
+    net = parse_network_spec(spec)
+    sampler = LoopSoupSampler(net, compute_green(net), 0.5)
+    reference = _reference_sampler(net, 0.5, sampler.length_cutoff)
+    lengths = set()
+    for r in range(500):
+        soup = sampler.sample(derive_stream(38, r))
+        loops, trivial = reference(derive_stream(38, r))
+        assert len(soup.loops) == len(loops)
+        for (skeleton, holds), (ref_verts, ref_holds) in zip(soup.loops, loops):
+            assert skeleton.vertices == ref_verts
+            assert np.array_equal(holds, ref_holds)
+            lengths.add(len(ref_verts))
+        assert np.array_equal(soup.trivial_occupation, trivial)
+    if spec is TRIANGLE:
+        assert any(k % 2 for k in lengths)
+
+
+def test_sampler_build_peak_memory():
+    # caching the (cutoff + 1) dense n x n powers would take about 960 MB here
+    net = parse_network_spec("grid:20x20:k=0.1")
+    gop = compute_green(net)
+    tracemalloc.start()
+    try:
+        sampler = LoopSoupSampler(net, gop, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampler.length_cutoff > 700
+    assert peak < 32 * 2**20
