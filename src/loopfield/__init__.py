@@ -43,17 +43,13 @@ from .bridges import (
     zero_probability_closed_form,
     zero_probability_quadrature,
     sample_first_zero,
-    sample_last_zero,
     three_process_zero_mc,
 )
 from .interlacement import (
     StarGraph,
     CapacityReport,
-    InterlacementSample,
     build_star_graph,
     compute_capacity,
-    sample_interlacement_trace,
-    sample_star_excursions,
     isomorphism_check,
     levelset_containment_check,
 )

@@ -36,7 +36,6 @@ __all__ = [
     "first_zero_cdf",
     "last_zero_density",
     "LastZeroSampler",
-    "sample_last_zero",
     "three_process_zero_mc",
 ]
 
@@ -175,11 +174,6 @@ class LastZeroSampler:
     def sample(self, rng: np.random.Generator, size=None):
         u = rng.random(size=size)
         return np.interp(u, self._cdf, self._t)
-
-
-def sample_last_zero(l2: float, T: float, rng: np.random.Generator, size=None):
-    """Draw(s) of the last zero time via a freshly built grid sampler."""
-    return LastZeroSampler(l2, T).sample(rng, size=size)
 
 
 def three_process_zero_mc(

@@ -17,14 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import couple, field_law_records
+from .coupling import collect_coupled_fields, field_law_records
 from .gff import sample_gff
 from .green import compute_green, normalized_green, sqrt_det_ratio
 from .harness import ConfigError, ExperimentConfig, parse_network_spec, run_experiment
 from .loopsoup import LoopSoupSampler, loop_clusters, occupation_field
 from .network import NetworkError
 from .stats import Thresholds
-from .streams import derive_stream
+from .streams import replicate
 
 FMT = ".17g"
 
@@ -53,7 +53,6 @@ def _add_common(sub, replicas_default=100_000):
     sub.add_argument("--seed", type=int, default=1, help="64-bit master seed")
     sub.add_argument("--replicas", type=int, default=replicas_default)
     sub.add_argument("--out", default=None, help="output path (CSV; report JSON alongside)")
-    sub.add_argument("--threads", type=int, default=1)
 
 
 def _run_and_report(args, experiment: str, network=None, parameters=None) -> int:
@@ -64,7 +63,6 @@ def _run_and_report(args, experiment: str, network=None, parameters=None) -> int
         network=network,
         parameters=parameters or {},
         output=args.out,
-        threads=args.threads,
     )
     started = time.perf_counter()
     report = run_experiment(cfg)
@@ -177,11 +175,11 @@ def _dispatch(args) -> int:
         net = parse_network_spec(args.net)
         gop = compute_green(net)
         header = "replica," + ",".join(f"phi_{x}" for x in range(net.vertex_count))
-        lines = [header]
-        for r in range(args.replicas):
-            phi = sample_gff(gop, derive_stream(args.seed, r))
-            lines.append(f"{r}," + ",".join(_fmt(v) for v in phi.values))
-        _emit(lines, args.out)
+
+        def row(r, rng):
+            return f"{r}," + ",".join(_fmt(v) for v in sample_gff(gop, rng).values)
+
+        _emit([header] + replicate(args.replicas, args.seed, row), args.out)
         return 0
 
     if cmd == "sample-loops":
@@ -193,38 +191,30 @@ def _dispatch(args) -> int:
             + ",".join(f"occ_{x}" for x in range(net.vertex_count))
             + ",cluster_count"
         )
-        lines = [header]
-        for r in range(args.replicas):
-            soup = sampler.sample(derive_stream(args.seed, r))
+
+        def row(r, rng):
+            soup = sampler.sample(rng)
             occ = occupation_field(soup)
             n_clusters = loop_clusters(soup, net).cluster_count
-            lines.append(
+            return (
                 f"{r},{len(soup.loops)},"
                 + ",".join(_fmt(v) for v in occ.values)
                 + f",{n_clusters}"
             )
-        _emit(lines, args.out)
+
+        _emit([header] + replicate(args.replicas, args.seed, row), args.out)
         return 0
 
     if cmd == "couple":
         net = parse_network_spec(args.net)
         gop = compute_green(net)
-        sampler = LoopSoupSampler(net, gop, 0.5)
+        fields, violations = collect_coupled_fields(net, gop, args.replicas, args.seed)
         header = "replica," + ",".join(f"phi_{x}" for x in range(net.vertex_count))
         lines = [header]
-        fields = np.empty((args.replicas, net.alive.size))
-        violations = 0
-        for r in range(args.replicas):
-            rng = derive_stream(args.seed, r)
-            coupled = couple(net, sampler.sample(rng), rng)
-            fields[r] = coupled.field.values[net.alive]
-            for members in coupled.base_clusters.members.values():
-                if len(members) > 1:
-                    s = np.sign(coupled.field.values[list(members)])
-                    if not np.all(s == s[0]):
-                        violations += 1
-                        break
-            lines.append(f"{r}," + ",".join(_fmt(v) for v in coupled.field.values))
+        phi = np.zeros(net.vertex_count)
+        for r, values in enumerate(fields):
+            phi[net.alive] = values
+            lines.append(f"{r}," + ",".join(_fmt(v) for v in phi))
         _emit(lines, args.out)
         records = field_law_records(net, gop, fields, violations, Thresholds())
         doc = json.dumps([rec.to_dict() for rec in records], indent=2)
@@ -254,7 +244,6 @@ def _dispatch(args) -> int:
             seed=args.seed,
             replicas=args.replicas,
             parameters={"lambda_grid": grid},
-            threads=args.threads,
         )
         report = run_experiment(cfg)
         lines = ["lambda,closed,quadrature,mc,stderr,z"]

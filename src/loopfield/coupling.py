@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterPartition, build_partition
-from .gff import FieldSample
+from .clusters import ClusterPartition
+from .gff import EdgeConfiguration, FieldSample, cable_open_probability, cluster_edges
 from .green import GreenOperator, normalized_green
 from .loopsoup import (
     LoopSoupSample,
@@ -31,11 +31,10 @@ from .loopsoup import (
 )
 from .network import Network
 from .stats import TestRecord, Thresholds, mc_mean, normal_cdf, ks_pvalue, z_score
-from .streams import derive_stream
+from .streams import replicate
 
 __all__ = [
     "CoupledSample",
-    "edge_opening_probability",
     "couple",
     "collect_coupled_fields",
     "field_law_records",
@@ -58,11 +57,6 @@ class CoupledSample:
     field: FieldSample
 
 
-def edge_opening_probability(conductance: float, occ_x: float, occ_y: float) -> float:
-    """``1 - exp(-2 C sqrt(L_x L_y))`` for an edge untouched by loops."""
-    return -math.expm1(-2.0 * conductance * math.sqrt(occ_x * occ_y))
-
-
 def couple(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> CoupledSample:
     """Run the soup-to-field construction on one soup realization.
 
@@ -78,32 +72,29 @@ def couple(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> Coup
 
     occ = occupation_field(soup)
     base = loop_clusters(soup, net)
-    traversed: set[int] = set()
-    for edge_ids in base.edge_sets.values():
-        traversed.update(edge_ids)
-
-    candidates = [eid for eid in range(net.edge_count) if eid not in traversed]
-    draws = rng.random(len(candidates))
-    extra = []
-    for eid, u01 in zip(candidates, draws):
-        x, y, c = net.edges[eid]
-        if u01 < edge_opening_probability(c, occ.values[x], occ.values[y]):
-            extra.append(eid)
-
-    open_ids = sorted(traversed | set(extra))
-    merge_pairs = [(net.edges[eid][0], net.edges[eid][1]) for eid in open_ids]
-    edge_records = [(net.edges[eid][0], eid) for eid in open_ids]
-    merged = build_partition(net.vertex_count, merge_pairs, edge_records)
+    is_open = np.zeros(net.edge_count, dtype=bool)
+    is_open[[eid for edge_ids in base.edge_sets.values() for eid in edge_ids]] = True
+    candidates = (~is_open).nonzero()[0]
+    # one array call over every edge; only the candidates' entries are used
+    a, b = net.edge_ends.T
+    probs = cable_open_probability(net.conductances, np.sqrt(occ.values[a] * occ.values[b]))
+    extra = candidates[rng.random(candidates.size) < probs[candidates]]
+    is_open[extra] = True
+    merged = cluster_edges(EdgeConfiguration(is_open), net)
 
     labels = sorted(merged.members)
     sign_draws = rng.integers(0, 2, size=len(labels)) * 2 - 1
-    signs = {label: int(s) for label, s in zip(labels, sign_draws)}
+    signs = dict(zip(labels, sign_draws.tolist()))
+    vertex_sign = np.zeros(net.vertex_count)
+    vertex_sign[labels] = sign_draws
 
+    alive = net.alive
     values = np.zeros(net.vertex_count)
-    for x in net.alive:
-        values[x] = signs[int(merged.labels[x])] * math.sqrt(2.0 * occ.values[x])
+    values[alive] = vertex_sign[merged.labels[alive]] * np.sqrt(2.0 * occ.values[alive])
 
-    return CoupledSample(soup, occ, base, tuple(sorted(extra)), merged, signs, FieldSample(values))
+    return CoupledSample(
+        soup, occ, base, tuple(extra.tolist()), merged, signs, FieldSample(values)
+    )
 
 
 def collect_coupled_fields(
@@ -116,20 +107,17 @@ def collect_coupled_fields(
     so it would catch a miswired construction rather than restating it.
     """
     sampler = LoopSoupSampler(net, gop, COUPLING_ALPHA)
-    alive = net.alive
-    fields = np.empty((replicas, alive.size))
-    violations = 0
-    for r in range(replicas):
-        rng = derive_stream(seed, r)
+
+    def one(_i, rng):
         coupled = couple(net, sampler.sample(rng), rng)
-        fields[r] = coupled.field.values[alive]
-        for members in coupled.base_clusters.members.values():
-            if len(members) > 1:
-                s = np.sign(coupled.field.values[list(members)])
-                if not np.all(s == s[0]):
-                    violations += 1
-                    break
-    return fields, violations
+        # each cluster label is one of its members, so the sign is constant on
+        # every cluster exactly when each vertex agrees with its label vertex
+        sign = np.sign(coupled.field.values)
+        broken = bool((sign != sign[coupled.base_clusters.labels]).any())
+        return coupled.field.values[net.alive], broken
+
+    results = replicate(replicas, seed, one)
+    return np.array([f for f, _ in results]), sum(bad for _, bad in results)
 
 
 def field_law_records(

@@ -25,7 +25,7 @@ __all__ = [
     "EdgeConfiguration",
     "sample_gff",
     "sample_edge_configuration",
-    "edge_no_zero_probability",
+    "cable_open_probability",
     "connectivity_probability",
     "cluster_edges",
 ]
@@ -54,18 +54,16 @@ def sample_gff(gop: GreenOperator, rng: np.random.Generator) -> FieldSample:
     return FieldSample(values)
 
 
-def edge_no_zero_probability(conductance: float, phi_x: float, phi_y: float) -> float:
-    """Probability that the bridge interpolating the field across one cable
-    has no zero, i.e. that the edge is open.
+def cable_open_probability(conductance, product):
+    """Probability ``1 - exp(-2 C max(product, 0))`` that a cable is open, elementwise.
 
-    Zero when the endpoint values do not share a strict sign.  Exact zeros of
-    the field (a null event) close all incident edges, which keeps the
-    configuration deterministic given the field and the uniform draws.
+    For the free field ``product`` is ``phi_x phi_y``: the variance-2 bridge
+    interpolating the field across the cable has no zero with this
+    probability, which is zero when the endpoint values do not share a strict
+    sign (exact zeros of the field, a null event, close all incident edges).
+    For a loop soup's occupation field ``product`` is ``sqrt(L_x L_y)``.
     """
-    prod = phi_x * phi_y
-    if prod <= 0.0:
-        return 0.0
-    return -math.expm1(-2.0 * conductance * prod)
+    return -np.expm1(-2.0 * conductance * np.maximum(product, 0.0))
 
 
 def sample_edge_configuration(
@@ -77,9 +75,8 @@ def sample_edge_configuration(
     configuration is reproducible for a fixed stream.
     """
     phi = field.values
-    probs = np.empty(net.edge_count)
-    for eid, (u, v, c) in enumerate(net.edges):
-        probs[eid] = edge_no_zero_probability(c, phi[u], phi[v])
+    a, b = net.edge_ends.T
+    probs = cable_open_probability(net.conductances, phi[a] * phi[b])
     draws = rng.random(net.edge_count)
     return EdgeConfiguration(draws < probs)
 
@@ -90,11 +87,10 @@ def connectivity_probability(gop: GreenOperator, x: int, y: int) -> float:
 
 
 def cluster_edges(config: EdgeConfiguration, net: Network) -> ClusterPartition:
-    """Connected components over open edges, deterministic labels."""
-    merges = []
-    records = []
-    for eid, (u, v, _) in enumerate(net.edges):
-        if config.open[eid]:
-            merges.append((u, v))
-            records.append((u, eid))
-    return build_partition(net.vertex_count, merges, records)
+    """Connected components over open edges, deterministic labels; each open
+    edge is attached to its cluster."""
+    open_ids = config.open.nonzero()[0]
+    ends = net.edge_ends[open_ids]
+    return build_partition(
+        net.vertex_count, ends.tolist(), zip(ends[:, 0].tolist(), open_ids.tolist())
+    )

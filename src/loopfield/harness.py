@@ -13,8 +13,7 @@ import csv
 import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +41,25 @@ from .network import (
     path_network,
     two_vertex_network,
 )
-from .stats import TestRecord, Thresholds, half_square_cdf, ks_pvalue, mc_mean, z_score
-from .streams import derive_stream
+from .stats import (
+    DEFAULT_KS_PVALUE,
+    DEFAULT_Z_LIMIT,
+    TestRecord,
+    Thresholds,
+    half_square_cdf,
+    ks_pvalue,
+    mc_mean,
+    z_score,
+)
+from .streams import derive_stream, replicate
 
 __all__ = [
     "ExperimentConfig",
     "Report",
     "run_experiment",
-    "replicate",
     "parse_network_spec",
     "EXPERIMENTS",
+    "PARAMETERS",
 ]
 
 
@@ -69,48 +77,44 @@ class ExperimentConfig:
     network: str | dict | None = None
     parameters: dict = field(default_factory=dict)
     output: str | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ConfigError("field 'replicas': must be >= 1")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError("field 'seed': must be a 64-bit value")
-        if self.threads < 1:
-            raise ConfigError("field 'threads': must be >= 1")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"field 'experiment': unknown id {self.experiment!r}; "
                 f"known: {sorted(EXPERIMENTS)}"
             )
+        if not isinstance(self.parameters, dict):
+            raise ConfigError("field 'parameters': must be an object")
+        accepted = PARAMETERS[self.experiment]
+        for name in self.parameters:
+            if name not in accepted:
+                raise ConfigError(
+                    f"parameter {name!r}: not accepted by experiment {self.experiment!r}; "
+                    f"accepted: {sorted(accepted)}"
+                )
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "replicas": self.replicas,
-            "network": self.network,
-            "parameters": self.parameters,
-            "output": self.output,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if "experiment" not in doc or "seed" not in doc:
             raise ConfigError("config needs at least 'experiment' and 'seed'")
-        known = {"experiment", "seed", "replicas", "network", "parameters", "output", "threads"}
+        known = {f.name for f in fields(cls)}
         for key in doc:
             if key not in known:
                 raise ConfigError(f"field {key!r}: not a config field")
+        try:
+            seed, replicas = int(doc["seed"]), int(doc.get("replicas", 100_000))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"fields 'seed' and 'replicas': must be integers ({exc})") from exc
         return cls(
-            experiment=str(doc["experiment"]),
-            seed=int(doc["seed"]),
-            replicas=int(doc.get("replicas", 100_000)),
-            network=doc.get("network"),
-            parameters=dict(doc.get("parameters", {})),
-            output=doc.get("output"),
-            threads=int(doc.get("threads", 1)),
+            **{**doc, "experiment": str(doc["experiment"]), "seed": seed, "replicas": replicas}
         )
 
     @classmethod
@@ -168,19 +172,6 @@ class Report:
 def _fmt(value) -> str:
     # 17 significant digits round-trips doubles exactly
     return "" if value is None else format(float(value), ".17g")
-
-
-def replicate(replicas: int, seed: int, fn, threads: int = 1) -> list:
-    """Run ``fn(index, rng)`` once per replica with derived streams.
-
-    Results come back in index order whatever the thread scheduling, so any
-    aggregation downstream is scheduling independent.
-    """
-    indices = range(replicas)
-    if threads <= 1:
-        return [fn(i, derive_stream(seed, i)) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda i: fn(i, derive_stream(seed, i)), indices))
 
 
 # -- network shorthand -------------------------------------------------------
@@ -245,14 +236,32 @@ def parse_network_spec(spec) -> Network:
 # -- experiments ---------------------------------------------------------------
 
 
-def _required(cfg: ExperimentConfig, name: str):
+_REQUIRED = object()
+
+
+def _param(cfg: ExperimentConfig, name: str, convert, default=_REQUIRED):
+    """Parameter ``name`` (or ``default``) passed through ``convert``; a missing
+    required parameter or a value that ``convert`` rejects is a ConfigError."""
     if name not in cfg.parameters:
-        raise ConfigError(f"parameter {name!r}: required by experiment {cfg.experiment!r}")
-    return cfg.parameters[name]
+        if default is _REQUIRED:
+            raise ConfigError(f"parameter {name!r}: required by experiment {cfg.experiment!r}")
+        return convert(default)
+    value = cfg.parameters[name]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"parameter {name!r}: bad value {value!r} ({exc})") from exc
+
+
+def _thresholds(cfg: ExperimentConfig) -> Thresholds:
+    return Thresholds(
+        z_limit=_param(cfg, "z_limit", float, DEFAULT_Z_LIMIT),
+        ks_pvalue=_param(cfg, "ks_pvalue", float, DEFAULT_KS_PVALUE),
+    )
 
 
 def _vertex(cfg: ExperimentConfig, net: Network, name: str) -> int:
-    x = int(_required(cfg, name))
+    x = _param(cfg, name, int)
     if not 0 <= x < net.vertex_count:
         raise ConfigError(
             f"parameter {name!r}: vertex {x} outside the network's {net.vertex_count} vertices"
@@ -265,7 +274,7 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
     x = _vertex(cfg, net, "x")
     y = _vertex(cfg, net, "y")
     gop = compute_green(net)
-    th = Thresholds.from_params(cfg.parameters)
+    th = _thresholds(cfg)
     exact = connectivity_probability(gop, x, y)
 
     def one(_i, rng):
@@ -273,7 +282,7 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
         config = sample_edge_configuration(phi, net, rng)
         return 1.0 if cluster_edges(config, net).same_cluster(x, y) else 0.0
 
-    hits = np.array(replicate(cfg.replicas, cfg.seed, one, cfg.threads))
+    hits = np.array(replicate(cfg.replicas, cfg.seed, one))
     est, sem = mc_mean(hits)
     z = z_score(est, exact, sem)
     return [
@@ -291,9 +300,9 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
 
 def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
-    edges = _required(cfg, "edges")
+    edges = _param(cfg, "edges", lambda v: [(int(a), int(b)) for a, b in v])
     gop = compute_green(net)
-    th = Thresholds.from_params(cfg.parameters)
+    th = _thresholds(cfg)
     edge_ids = sorted(net.edge_id(u, v) for u, v in edges)
     exact = sqrt_det_ratio(net, edge_ids)
     marked = set(edge_ids)
@@ -308,7 +317,7 @@ def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
                     return 0.0
         return 1.0
 
-    hits = np.array(replicate(cfg.replicas, cfg.seed, one, cfg.threads))
+    hits = np.array(replicate(cfg.replicas, cfg.seed, one))
     est, sem = mc_mean(hits)
     z = z_score(est, exact, sem)
     return [
@@ -327,7 +336,7 @@ def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
 def _exp_coupling_law(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
     gop = compute_green(net)
-    th = Thresholds.from_params(cfg.parameters)
+    th = _thresholds(cfg)
     fields, violations = collect_coupled_fields(net, gop, cfg.replicas, cfg.seed)
     return field_law_records(net, gop, fields, violations, th)
 
@@ -335,15 +344,15 @@ def _exp_coupling_law(cfg: ExperimentConfig) -> list[TestRecord]:
 def _exp_occupation(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
     gop = compute_green(net)
-    th = Thresholds.from_params(cfg.parameters)
-    alpha = float(cfg.parameters.get("alpha", 0.5))
+    th = _thresholds(cfg)
+    alpha = _param(cfg, "alpha", float, 0.5)
     sampler = LoopSoupSampler(net, gop, alpha)
     alive = net.alive
 
     def one(_i, rng):
         return occupation_field(sampler.sample(rng)).values[alive]
 
-    occ = np.array(replicate(cfg.replicas, cfg.seed, one, cfg.threads))
+    occ = np.array(replicate(cfg.replicas, cfg.seed, one))
 
     records = []
     for i, x in enumerate(alive):
@@ -395,9 +404,11 @@ def _exp_occupation(cfg: ExperimentConfig) -> list[TestRecord]:
 
 
 def _exp_bridge(cfg: ExperimentConfig) -> list[TestRecord]:
-    th = Thresholds.from_params(cfg.parameters)
-    grid = [float(v) for v in cfg.parameters.get("lambda_grid", [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0])]
-    quad_tol = float(cfg.parameters.get("quad_rel_err", 1e-8))
+    th = _thresholds(cfg)
+    grid = _param(
+        cfg, "lambda_grid", lambda v: [float(t) for t in v], [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0]
+    )
+    quad_tol = _param(cfg, "quad_rel_err", float, 1e-8)
     records = []
     for idx, lam in enumerate(grid):
         # realize lambda with T = 1/2 and l1 = l2 = sqrt(lam)
@@ -433,12 +444,14 @@ def _exp_bridge(cfg: ExperimentConfig) -> list[TestRecord]:
 
 
 def _exp_interlacement(cfg: ExperimentConfig) -> list[TestRecord]:
-    th = Thresholds.from_params(cfg.parameters)
-    d = int(cfg.parameters.get("d", 3))
-    n = int(cfg.parameters.get("n", 6))
-    u = float(cfg.parameters.get("u", 0.25))
-    coords = cfg.parameters.get("k", [[0] * d])
-    star_replicas = int(cfg.parameters.get("star_replicas", max(cfg.replicas // 4, 1)))
+    th = _thresholds(cfg)
+    d = _param(cfg, "d", int, 3)
+    n = _param(cfg, "n", int, 6)
+    u = _param(cfg, "u", float, 0.25)
+    coords = _param(cfg, "k", lambda v: [[int(c) for c in point] for point in v], [[0] * d])
+    if any(len(point) != d for point in coords):
+        raise ConfigError(f"parameter 'k': every point needs {d} coordinates")
+    star_replicas = _param(cfg, "star_replicas", int, max(cfg.replicas // 4, 1))
 
     net = build_box_network(d, n, 1.0, 0.0, "absorbing")
     k_ids = [box_vertex_index(d, n, c) for c in coords]
@@ -538,18 +551,18 @@ def _exp_interlacement(cfg: ExperimentConfig) -> list[TestRecord]:
 
 
 def _exp_isomorphism(cfg: ExperimentConfig) -> list[TestRecord]:
-    th = Thresholds.from_params(cfg.parameters)
-    d = int(cfg.parameters.get("d", 2))
-    n = int(cfg.parameters.get("n", 5))
-    u = float(cfg.parameters.get("u", 0.5))
+    th = _thresholds(cfg)
+    d = _param(cfg, "d", int, 2)
+    n = _param(cfg, "n", int, 5)
+    u = _param(cfg, "u", float, 0.5)
     star = build_star_graph(d, n)
     return isomorphism_check(star, u, cfg.replicas, cfg.seed, th)
 
 
 def _exp_levelset(cfg: ExperimentConfig) -> list[TestRecord]:
-    d = int(cfg.parameters.get("d", 2))
-    n = int(cfg.parameters.get("n", 5))
-    u = float(cfg.parameters.get("u", 1.0))
+    d = _param(cfg, "d", int, 2)
+    n = _param(cfg, "n", int, 5)
+    u = _param(cfg, "u", float, 1.0)
     star = build_star_graph(d, n)
     return levelset_containment_check(star, u, cfg.replicas, cfg.seed)
 
@@ -563,6 +576,18 @@ EXPERIMENTS = {
     "interlacement": _exp_interlacement,
     "isomorphism-check": _exp_isomorphism,
     "levelset-check": _exp_levelset,
+}
+
+# the parameter names each experiment reads; any other name is rejected
+PARAMETERS = {
+    "connectivity": {"x", "y", "z_limit"},
+    "det-ratio": {"edges", "z_limit"},
+    "coupling-law": {"z_limit", "ks_pvalue"},
+    "occupation-field": {"alpha", "z_limit", "ks_pvalue"},
+    "bridge-check": {"lambda_grid", "quad_rel_err", "z_limit"},
+    "interlacement": {"d", "n", "u", "k", "star_replicas", "z_limit"},
+    "isomorphism-check": {"d", "n", "u", "z_limit"},
+    "levelset-check": {"d", "n", "u"},
 }
 
 

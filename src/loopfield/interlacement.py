@@ -25,7 +25,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
-from .clusters import UnionFind
+from .clusters import build_partition
+from .gff import cable_open_probability
 from .green import compute_green
 from .network import Network, NetworkError, box_vertex_coords, box_vertex_index, build_box_network
 from .stats import TestRecord, Thresholds, mc_mean, z_score
@@ -34,15 +35,13 @@ from .streams import derive_stream
 __all__ = [
     "StarGraph",
     "CapacityReport",
-    "InterlacementSample",
     "build_star_graph",
     "box_window_vertices",
     "compute_capacity",
-    "sample_interlacement_trace",
-    "sample_star_excursions",
     "trace_occupation_batch",
     "star_excursion_batch",
     "isomorphism_check",
+    "levelset_field",
     "levelset_containment_check",
 ]
 
@@ -222,92 +221,6 @@ def compute_capacity(net: Network, k_vertices) -> CapacityReport:
     return CapacityReport(tuple(k_ids), weights, capacity, margin, refined, drift)
 
 
-# -- single-sample walkers ---------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class InterlacementSample:
-    """Trajectories (vertex and holding-time arrays) plus their occupation."""
-
-    trajectories: tuple
-    occupation: np.ndarray
-    level_u: float
-
-
-def _walk_until_death(net: Network, start: int, rng: np.random.Generator):
-    """Forward jump process from ``start`` until killing or absorption."""
-    lam = net.lambda_total
-    verts = []
-    holds = []
-    x = start
-    while True:
-        verts.append(x)
-        holds.append(rng.exponential(1.0 / lam[x]))
-        r = rng.random() * lam[x]
-        acc = 0.0
-        nxt = -1
-        for y, c, _ in net.neighbors[x]:
-            acc += c
-            if r < acc:
-                nxt = y
-                break
-        if nxt < 0 or net.alive_pos[nxt] < 0:
-            break  # killed at x, or jumped into the absorbing boundary
-        x = nxt
-    return np.array(verts), np.array(holds)
-
-
-def sample_interlacement_trace(
-    net: Network, cap_report: CapacityReport, u: float, rng: np.random.Generator
-) -> InterlacementSample:
-    """One realization of the trajectories through K at level u.
-
-    Draws ``Poisson(u cap(K))`` forward trajectories started on K under the
-    normalized equilibrium measure.  Backward parts are conditioned never to
-    return to K, so they contribute nothing to any statistic on K and are not
-    simulated.
-    """
-    if u < 0:
-        raise ValueError("u must be >= 0")
-    occupation = np.zeros(net.vertex_count)
-    trajectories = []
-    if u > 0:
-        e_cdf = np.cumsum(cap_report.equilibrium) / cap_report.capacity
-        count = int(rng.poisson(u * cap_report.capacity))
-        for _ in range(count):
-            j = int(np.searchsorted(e_cdf, rng.random(), side="right"))
-            verts, holds = _walk_until_death(net, cap_report.vertices[j], rng)
-            np.add.at(occupation, verts, holds)
-            trajectories.append((verts, holds))
-    return InterlacementSample(tuple(trajectories), occupation, float(u))
-
-
-def sample_star_excursions(
-    star: StarGraph, u: float, rng: np.random.Generator
-) -> InterlacementSample:
-    """Run the star-graph walk from ``x_*`` until its time there reaches u.
-
-    Excursions depart at rate ``star_rate`` while the clock at ``x_*`` runs;
-    each is a jump process through the interior until it returns (absorption
-    at the identified boundary).
-    """
-    if u < 0:
-        raise ValueError("u must be >= 0")
-    net = star.network
-    occupation = np.zeros(net.vertex_count)
-    trajectories = []
-    time_at_star = 0.0
-    while True:
-        time_at_star += rng.exponential(1.0 / star.star_rate)
-        if time_at_star >= u:
-            break
-        entry = int(star.entry_vertices[rng.integers(star.star_rate)])
-        verts, holds = _walk_until_death(net, entry, rng)
-        np.add.at(occupation, verts, holds)
-        trajectories.append((verts, holds))
-    return InterlacementSample(tuple(trajectories), occupation, float(u))
-
-
 # -- batched walkers ---------------------------------------------------------
 #
 # The batch engines require the uniform-slot structure of unit-conductance
@@ -384,7 +297,10 @@ def trace_occupation_batch(
 ):
     """Replicated trace sampler, tracking occupation and visits on K only.
 
-    Returns ``(occ, visited)`` of shapes (replicas, |K|).
+    Each replica draws ``Poisson(u cap(K))`` forward trajectories started on K
+    under the normalized equilibrium measure.  Backward parts are conditioned
+    never to return to K, so they contribute nothing to any statistic on K and
+    are not simulated.  Returns ``(occ, visited)`` of shapes (replicas, |K|).
     """
     rng = derive_stream(seed, 0)
     counts = rng.poisson(u * cap_report.capacity, replicas)
@@ -481,20 +397,20 @@ def isomorphism_check(
     return records
 
 
-def levelset_containment_check(
+def levelset_field(
     star: StarGraph,
     u: float,
     replicas: int,
     seed: int,
-) -> list[TestRecord]:
-    """Structural containment of the visited set in the low side of the field.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Free field built from the star excursions at level u, and their visits.
 
     Realizes ``|phi - sqrt(2u)| = sqrt(2 (L + phi'^2 / 2))``, opens the
     untraversed edges with the cable no-zero probabilities (the occupation at
-    the identified boundary is exactly u), and assigns signs per merged
-    cluster, with the boundary cluster forced to the negative side.  Every
-    vertex visited by an excursion must end below ``sqrt(2u)``, and every
-    vertex above the level must be vacant; both counts are exact.
+    the identified boundary is exactly u), and assigns one uniform sign per
+    merged cluster in increasing label order, with the boundary cluster forced
+    to the negative side.  Returns ``(phi, vertex_hit)``, both of shape
+    (replicas, alive vertices).
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -504,49 +420,51 @@ def levelset_containment_check(
 
     rng_fields = derive_stream(seed, 1)
     phi_prime = rng_fields.standard_normal((replicas, net.alive.size)) @ gop.chol.T
-    s_alive = occ + 0.5 * phi_prime**2
+    s_full = np.full((replicas, net.vertex_count), float(u))
+    s_full[:, net.alive] = occ + 0.5 * phi_prime**2
 
-    rng_open = derive_stream(seed, 2)
-    open_draws = rng_open.random((replicas, net.edge_count))
+    # edges between absorbing vertices may open too: their ends share the
+    # boundary cluster whatever happens
+    a, b = net.edge_ends.T
+    open_draws = derive_stream(seed, 2).random((replicas, net.edge_count))
+    probs = cable_open_probability(net.conductances, np.sqrt(s_full[:, a] * s_full[:, b]))
+    is_open = edge_hit | (open_draws < probs)
     rng_signs = derive_stream(seed, 3)
 
-    level = math.sqrt(2.0 * u)
-    absorbing = [x for x in range(net.vertex_count) if net.is_absorbing(x)]
-    violations = 0
-    level_total = 0
-    vacant_hits = 0
+    absorbing = np.flatnonzero(~np.isfinite(net.killing))
+    boundary_pairs = [(int(absorbing[0]), int(x)) for x in absorbing[1:]]
+    signs = np.empty((replicas, net.vertex_count))
     for r in range(replicas):
-        s_full = np.full(net.vertex_count, float(u))
-        s_full[net.alive] = s_alive[r]
+        pairs = boundary_pairs + net.edge_ends[is_open[r]].tolist()
+        merged = build_partition(net.vertex_count, pairs)
+        boundary = merged.labels[absorbing[0]]
+        free = [label for label in merged.members if label != boundary]
+        label_sign = np.full(net.vertex_count, -1.0)
+        label_sign[free] = rng_signs.integers(0, 2, size=len(free)) * 2 - 1
+        signs[r] = label_sign[merged.labels]
 
-        uf = UnionFind(net.vertex_count)
-        for x in absorbing[1:]:
-            uf.union(absorbing[0], x)
-        for eid, (a, b, c) in enumerate(net.edges):
-            if edge_hit[r, eid]:
-                uf.union(a, b)
-            elif not (net.is_absorbing(a) and net.is_absorbing(b)):
-                p = -math.expm1(-2.0 * c * math.sqrt(s_full[a] * s_full[b]))
-                if open_draws[r, eid] < p:
-                    uf.union(a, b)
+    phi = math.sqrt(2.0 * u) + signs * np.sqrt(2.0 * s_full)
+    return phi[:, net.alive], vertex_hit
 
-        labels = uf.labels()
-        star_label = labels[absorbing[0]]
-        signs = np.empty(net.vertex_count)
-        for label in sorted(set(int(l) for l in labels)):
-            if label == star_label:
-                sigma = -1.0
-            else:
-                sigma = float(rng_signs.integers(0, 2) * 2 - 1)
-            signs[labels == label] = sigma
 
-        phi = level + signs * np.sqrt(2.0 * s_full)
-        phi_alive = phi[net.alive]
-        hit = vertex_hit[r]
-        violations += int(np.count_nonzero(hit & (phi_alive >= level)))
-        above = phi_alive > level
-        level_total += int(np.count_nonzero(above))
-        vacant_hits += int(np.count_nonzero(above & ~hit))
+def levelset_containment_check(
+    star: StarGraph,
+    u: float,
+    replicas: int,
+    seed: int,
+) -> list[TestRecord]:
+    """Structural containment of the visited set in the low side of the field.
+
+    Every vertex visited by an excursion must end below ``sqrt(2u)`` in the
+    field of ``levelset_field``, and every vertex above the level must be
+    vacant; both counts are exact.
+    """
+    phi, vertex_hit = levelset_field(star, u, replicas, seed)
+    level = math.sqrt(2.0 * u)
+    above = phi > level
+    violations = int(np.count_nonzero(vertex_hit & (phi >= level)))
+    level_total = int(np.count_nonzero(above))
+    vacant_hits = int(np.count_nonzero(above & ~vertex_hit))
 
     vacant_fraction = 1.0 if level_total == 0 else vacant_hits / level_total
     return [

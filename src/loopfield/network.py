@@ -47,6 +47,8 @@ class Network:
     Vertices are indexed densely ``0 .. vertex_count - 1``.  Edges are stored
     as ``(u, v, conductance)`` with ``u < v``; self-loops and parallel edges
     are rejected.  ``killing[x] == inf`` marks ``x`` as absorbing.
+    ``edge_ends`` (E x 2) and ``conductances`` hold the edges as arrays, in
+    edge-id order.
 
     The constructor validates connectivity, positive rates and a transience
     certificate: the killing must not vanish identically unless an absorbing
@@ -68,6 +70,8 @@ class Network:
     alive_pos: np.ndarray = field(init=False, repr=False)
     lambda_total: np.ndarray = field(init=False, repr=False)
     edge_lengths: np.ndarray = field(init=False, repr=False)
+    edge_ends: np.ndarray = field(init=False, repr=False)
+    conductances: np.ndarray = field(init=False, repr=False)
     neighbors: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -125,8 +129,12 @@ class Network:
                 "the walk on a finite graph would be recurrent"
             )
 
-        lengths = np.array([1.0 / (2.0 * c) for _, _, c in edges])
-        lengths.flags.writeable = False
+        table = np.array(edges, dtype=float).reshape(-1, 3)
+        ends = table[:, :2].astype(np.int64)
+        conductances = table[:, 2].copy()
+        lengths = 1.0 / (2.0 * conductances)
+        for arr in (lengths, ends, conductances):
+            arr.flags.writeable = False
         lam.flags.writeable = False
 
         object.__setattr__(self, "edges", edges)
@@ -135,6 +143,8 @@ class Network:
         object.__setattr__(self, "alive_pos", alive_pos)
         object.__setattr__(self, "lambda_total", lam)
         object.__setattr__(self, "edge_lengths", lengths)
+        object.__setattr__(self, "edge_ends", ends)
+        object.__setattr__(self, "conductances", conductances)
         object.__setattr__(self, "neighbors", tuple(tuple(a) for a in adj))
         object.__setattr__(self, "_edge_ids", {(u, v): i for i, (u, v, _) in enumerate(edges)})
 

@@ -34,13 +34,6 @@ class Thresholds:
     z_limit: float = DEFAULT_Z_LIMIT
     ks_pvalue: float = DEFAULT_KS_PVALUE
 
-    @classmethod
-    def from_params(cls, params: dict) -> "Thresholds":
-        return cls(
-            z_limit=float(params.get("z_limit", DEFAULT_Z_LIMIT)),
-            ks_pvalue=float(params.get("ks_pvalue", DEFAULT_KS_PVALUE)),
-        )
-
 
 @dataclass(frozen=True)
 class TestRecord:

@@ -1,0 +1,39 @@
+"""The benchmark's view of the package: names it wraps and configs it runs.
+
+``bench/tracer.py`` wraps loopfield functions by name and ``bench/workloads.py``
+builds experiment configs; a rename, deletion or stricter validation that
+breaks either shows up here in a second instead of in a benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    for module_name, qualname, _bucket in _load("tracer").WRAPPED:
+        module = importlib.import_module(f"loopfield.{module_name}")
+        owner_name, _, attr = qualname.rpartition(".")
+        if owner_name:
+            # methods are wrapped on the class that defines them
+            assert attr in getattr(module, owner_name).__dict__, (module_name, qualname)
+        else:
+            assert callable(getattr(module, attr, None)), (module_name, qualname)
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_workload_configs_validate(tiny):
+    workloads = _load("workloads")
+    for name in workloads.WORKLOADS:
+        assert workloads.make_configs(name, 1, tiny=tiny)

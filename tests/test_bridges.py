@@ -12,7 +12,6 @@ from loopfield.bridges import (
     first_zero_cdf,
     last_zero_density,
     sample_first_zero,
-    sample_last_zero,
     three_process_zero_mc,
     zero_probability_closed_form,
     zero_probability_quadrature,
@@ -105,7 +104,7 @@ def test_last_zero_small_l2_median():
     c = erfinv(0.5) ** 2 * 2.0 * T / l2
     median_exact = T * c / (1.0 + c)
     rng = derive_stream(44, 0)
-    draws = sample_last_zero(l2, T, rng, size=100_000)
+    draws = LastZeroSampler(l2, T).sample(rng, size=100_000)
     assert np.median(draws) == pytest.approx(median_exact, rel=0.02)
     assert median_exact > 0.9 * T  # the law pushes toward T as l2 -> 0
 
@@ -131,13 +130,13 @@ def test_three_process_degenerate_l1():
 def test_opening_probability_is_one_minus_zero_probability(two_vertex):
     # the coupling opens an edge exactly when the cable field has no zero:
     # exp(-2 C sqrt(l1 l2)) = exp(-2 sqrt(lambda)) with T = rho(e)
-    from loopfield.coupling import edge_opening_probability
+    from loopfield.gff import cable_open_probability
 
     rng = np.random.default_rng(47)
     for _ in range(200):
         c = rng.uniform(0.1, 4.0)
         l1, l2 = rng.uniform(0.01, 5.0, size=2)
         p = BridgeProblem(1.0 / (2.0 * c), l1, l2)
-        assert edge_opening_probability(c, l1, l2) == pytest.approx(
+        assert cable_open_probability(c, math.sqrt(l1 * l2)) == pytest.approx(
             1.0 - zero_probability_closed_form(p), abs=1e-12
         )

@@ -12,7 +12,8 @@ from loopfield import (
     couple,
     verify_gff_law,
 )
-from loopfield.coupling import collect_coupled_fields, edge_opening_probability
+from loopfield.coupling import collect_coupled_fields
+from loopfield.gff import cable_open_probability
 from loopfield.stats import mc_mean, z_score
 from loopfield.streams import derive_stream
 
@@ -25,10 +26,11 @@ def test_rejects_wrong_intensity(two_vertex):
 
 
 def test_opening_probability_values():
-    assert edge_opening_probability(1.0, 0.5, 0.5) == pytest.approx(
+    # the coupling passes sqrt(L_x L_y) as the product
+    assert cable_open_probability(1.0, math.sqrt(0.5 * 0.5)) == pytest.approx(
         1.0 - math.exp(-1.0), abs=1e-12
     )
-    assert edge_opening_probability(1.0, 0.0, 0.7) == 0.0
+    assert cable_open_probability(1.0, math.sqrt(0.0 * 0.7)) == 0.0
 
 
 def test_zero_occupation_edge_never_opens(path3):

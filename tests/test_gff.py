@@ -14,7 +14,7 @@ from loopfield import (
     sample_edge_configuration,
     sample_gff,
 )
-from loopfield.gff import edge_no_zero_probability
+from loopfield.gff import cable_open_probability
 from loopfield.stats import mc_mean, z_score
 from loopfield.streams import derive_stream
 
@@ -50,11 +50,15 @@ def test_two_vertex_covariance(two_vertex):
 
 def test_edge_probability_values():
     # sign disagreement forces an interior zero of the interpolating bridge
-    assert edge_no_zero_probability(1.0, 1.0, -1.0) == 0.0
-    assert edge_no_zero_probability(1.0, 0.0, 1.0) == 0.0
-    assert edge_no_zero_probability(1.0, 1.0, 1.0) == pytest.approx(
+    assert cable_open_probability(1.0, 1.0 * -1.0) == 0.0
+    assert cable_open_probability(1.0, 0.0 * 1.0) == 0.0
+    assert cable_open_probability(1.0, 1.0 * 1.0) == pytest.approx(
         1.0 - math.exp(-2.0), abs=1e-12
     )
+    # elementwise over edge arrays
+    probs = cable_open_probability(np.array([1.0, 0.5, 2.0]), np.array([-0.3, 2.0, 0.25]))
+    expected = [0.0, 1.0 - math.exp(-2.0), 1.0 - math.exp(-1.0)]
+    assert np.allclose(probs, expected, rtol=0, atol=1e-12)
 
 
 def test_edge_configuration_structural(two_vertex):
@@ -97,7 +101,7 @@ def test_edge_probability_vs_discretized_bridge_oracle():
         survive *= np.where(same_sign, 1.0 - np.exp(-cur * nxt / dt), 0.0)
         cur = nxt
     est, sem = mc_mean(survive)
-    exact = edge_no_zero_probability(conductance, a, b)
+    exact = cable_open_probability(conductance, a * b)
     assert abs(z_score(est, exact, sem)) < 3.9
 
 

@@ -8,13 +8,13 @@ from loopfield.cli import main
 from loopfield.harness import (
     ConfigError,
     EXPERIMENTS,
+    PARAMETERS,
     ExperimentConfig,
     parse_network_spec,
-    replicate,
     run_experiment,
 )
 from loopfield.stats import chi_square_uniform_pvalue
-from loopfield.streams import derive_stream
+from loopfield.streams import derive_stream, replicate
 
 
 def test_derive_stream_properties():
@@ -29,12 +29,16 @@ def test_derive_stream_properties():
         derive_stream(99, -1)
 
 
-def test_replicate_order_independent_of_threads():
-    fn = lambda i, rng: (i, float(rng.random()))
-    seq = replicate(40, 7, fn, threads=1)
-    par = replicate(40, 7, fn, threads=4)
-    assert seq == par
-    assert [i for i, _ in seq] == list(range(40))
+def test_replicate_runs_replicas_in_index_order():
+    calls = []
+
+    def fn(i, rng):
+        calls.append(i)
+        return i, float(rng.random())
+
+    results = replicate(40, 7, fn)
+    assert calls == list(range(40))
+    assert results == [(i, float(derive_stream(7, i).random())) for i in range(40)]
 
 
 def test_config_validation():
@@ -48,6 +52,18 @@ def test_config_validation():
         ExperimentConfig.from_dict({"experiment": "connectivity"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "connectivity", "seed": 1, "bogus": 2})
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"experiment": "connectivity", "seed": None})
+    with pytest.raises(ConfigError):
+        ExperimentConfig("connectivity", seed=1, parameters=[("x", 0)])
+
+
+def test_unknown_parameters_are_rejected():
+    # a misspelled name must fail before any work, not be ignored
+    with pytest.raises(ConfigError, match="'star_replica'"):
+        ExperimentConfig("interlacement", seed=1, parameters={"star_replica": 500})
+    with pytest.raises(ConfigError, match="'ks_pvalue'"):
+        ExperimentConfig("connectivity", seed=1, parameters={"x": 0, "y": 1, "ks_pvalue": 0.1})
 
 
 def test_config_round_trip():
@@ -140,6 +156,7 @@ def test_report_csv_has_full_precision(tmp_path):
 
 
 def test_every_acceptance_experiment_is_registered():
+    assert set(PARAMETERS) == set(EXPERIMENTS)
     assert set(EXPERIMENTS) == {
         "connectivity",
         "det-ratio",
@@ -201,8 +218,22 @@ def test_cli_run_config_and_errors(tmp_path, capsys):
         (["connectivity", "--net", "two-vertex", "--x", "0", "--y", "7"], None),
         (None, {"experiment": "connectivity", "network": "two-vertex", "parameters": {"y": 1}}),
         (None, {"experiment": "det-ratio", "network": "two-vertex"}),
+        (None, {"experiment": "det-ratio", "network": "two-vertex", "parameters": {"edges": 5}}),
+        (None, {"experiment": "connectivity", "network": "path:2", "parameters": {"x": None}}),
+        (None, {"experiment": "bridge-check", "parameters": {"lambda_grid": 3}}),
+        (None, {"experiment": "interlacement", "parameters": {"star_replica": 500}}),
+        (None, {"experiment": "interlacement", "parameters": {"d": 3, "n": 5, "k": [[0, 0]]}}),
     ],
-    ids=["vertex-out-of-range", "connectivity-without-x", "det-ratio-without-edges"],
+    ids=[
+        "vertex-out-of-range",
+        "connectivity-without-x",
+        "det-ratio-without-edges",
+        "det-ratio-edges-not-pairs",
+        "connectivity-x-null",
+        "bridge-check-grid-not-list",
+        "interlacement-unknown-name",
+        "interlacement-short-point",
+    ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config):
     if config is not None:

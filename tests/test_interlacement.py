@@ -11,12 +11,12 @@ from loopfield import (
     compute_green,
     isomorphism_check,
     levelset_containment_check,
-    sample_interlacement_trace,
-    sample_star_excursions,
     two_vertex_network,
 )
+from loopfield.clusters import UnionFind
 from loopfield.interlacement import (
     box_window_vertices,
+    levelset_field,
     star_excursion_batch,
     trace_occupation_batch,
 )
@@ -92,22 +92,21 @@ def test_trace_sampler_empty_at_zero(box3):
     net, _ = box3
     center = box_vertex_index(3, 5, (0, 0, 0))
     cap = compute_capacity(net, [center])
-    sample = sample_interlacement_trace(net, cap, 0.0, derive_stream(61, 0))
-    assert sample.trajectories == ()
-    assert np.all(sample.occupation == 0.0)
+    occ, visited = trace_occupation_batch(net, cap, 0.0, 50, 61)
+    assert occ.shape == visited.shape == (50, 1)
+    assert np.all(occ == 0.0)
+    assert not visited.any()
 
 
 def test_trace_sampler_single_consistency(box3):
     net, _ = box3
     center = box_vertex_index(3, 5, (0, 0, 0))
     cap = compute_capacity(net, [center])
-    sample = sample_interlacement_trace(net, cap, 2.0, derive_stream(62, 0))
-    rebuilt = np.zeros(net.vertex_count)
-    for verts, holds in sample.trajectories:
-        assert verts[0] == center
-        assert np.all(net.alive_pos[verts] >= 0)
-        np.add.at(rebuilt, verts, holds)
-    assert np.allclose(rebuilt, sample.occupation)
+    # trajectories start on K = {center} and hold there for a positive time,
+    # so the centre is visited exactly when it carries occupation
+    occ, visited = trace_occupation_batch(net, cap, 0.2, 2_000, 62)
+    assert np.array_equal(visited[:, 0], occ[:, 0] > 0.0)
+    assert 0 < visited.sum() < visited.size
 
 
 def test_trace_occupation_mean_is_u(box3):
@@ -126,23 +125,22 @@ def test_trace_occupation_mean_is_u(box3):
 
 def test_star_excursions_empty_at_zero():
     star = build_star_graph(2, 4)
-    sample = sample_star_excursions(star, 0.0, derive_stream(64, 0))
-    assert sample.trajectories == ()
+    occ, edge_hit, vertex_hit = star_excursion_batch(star, 0.0, 50, 64, track_edges=True)
+    assert np.all(occ == 0.0)
+    assert not edge_hit.any() and not vertex_hit.any()
 
 
-def test_star_excursion_count_matches_capacity():
-    # mean number of excursions visiting K per run equals u cap(K)
+def test_star_vacancy_matches_capacity():
+    # the excursions visiting K form a Poisson(u cap(K)) count, so K is
+    # vacant with probability exp(-u cap(K))
     star = build_star_graph(3, 5)
     net = star.network
     k_ids = [box_vertex_index(3, 5, (0, 0, 0))]
     cap = compute_capacity(net, k_ids)
     u = 0.5
-    counts = np.empty(400)
-    for r in range(counts.size):
-        sample = sample_star_excursions(star, u, derive_stream(65, r))
-        counts[r] = sum(1 for verts, _ in sample.trajectories if k_ids[0] in verts)
-    est, sem = mc_mean(counts)
-    assert abs(z_score(est, u * cap.capacity, sem)) < 3.9
+    _, _, hit = star_excursion_batch(star, u, 4_000, 65)
+    est, sem = mc_mean((~hit[:, net.alive_pos[k_ids[0]]]).astype(float))
+    assert abs(z_score(est, math.exp(-u * cap.capacity), sem)) < 3.9
 
 
 def test_star_occupation_mean_is_u():
@@ -213,3 +211,51 @@ def test_levelset_containment_exact():
         assert all(r.passed for r in records)
     with pytest.raises(ValueError):
         levelset_containment_check(star, 0.0, 10, 73)
+
+
+def _levelset_reference(star, u, replicas, seed):
+    """The level-set field built replica by replica with a union-find over
+    every edge and one scalar sign draw per cluster."""
+    net = star.network
+    gop = compute_green(net)
+    occ, edge_hit, _ = star_excursion_batch(star, u, replicas, seed, track_edges=True)
+    phi_prime = derive_stream(seed, 1).standard_normal((replicas, net.alive.size)) @ gop.chol.T
+    s_alive = occ + 0.5 * phi_prime**2
+    open_draws = derive_stream(seed, 2).random((replicas, net.edge_count))
+    rng_signs = derive_stream(seed, 3)
+    absorbing = [x for x in range(net.vertex_count) if net.is_absorbing(x)]
+    phi = np.empty((replicas, net.alive.size))
+    for r in range(replicas):
+        s_full = np.full(net.vertex_count, float(u))
+        s_full[net.alive] = s_alive[r]
+        uf = UnionFind(net.vertex_count)
+        for x in absorbing[1:]:
+            uf.union(absorbing[0], x)
+        for eid, (a, b, c) in enumerate(net.edges):
+            if edge_hit[r, eid]:
+                uf.union(a, b)
+            elif not (net.is_absorbing(a) and net.is_absorbing(b)):
+                if open_draws[r, eid] < -math.expm1(-2.0 * c * math.sqrt(s_full[a] * s_full[b])):
+                    uf.union(a, b)
+        labels = uf.labels()
+        signs = np.empty(net.vertex_count)
+        for label in sorted(set(labels.tolist())):
+            if label == labels[absorbing[0]]:
+                signs[labels == label] = -1.0
+            else:
+                signs[labels == label] = float(rng_signs.integers(0, 2) * 2 - 1)
+        phi[r] = (math.sqrt(2.0 * u) + signs * np.sqrt(2.0 * s_full))[net.alive]
+    return phi
+
+
+def test_levelset_field_equals_reference():
+    # the records of levelset-check hold for any sign law that keeps the
+    # boundary cluster negative; this pins the construction draw for draw
+    star = build_star_graph(2, 4)
+    for u, seed in ((0.1, 74), (1.0, 75)):
+        phi, hit = levelset_field(star, u, 300, seed)
+        assert np.array_equal(phi, _levelset_reference(star, u, 300, seed))
+        assert np.array_equal(hit, star_excursion_batch(star, u, 300, seed)[2])
+        # the construction is not trivial: both sides of the level occur
+        level = math.sqrt(2.0 * u)
+        assert (phi > level).any() and (phi < level).any()
