@@ -50,7 +50,7 @@ def sample_gff(gop: GreenOperator, rng: np.random.Generator) -> FieldSample:
     net = gop.network
     z = rng.standard_normal(net.alive.size)
     values = np.zeros(net.vertex_count)
-    values[net.alive] = gop.chol @ z
+    values[net.alive] = gop.apply_chol(z)
     return FieldSample(values)
 
 

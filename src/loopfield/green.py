@@ -1,19 +1,29 @@
-"""Dense linear algebra for the energy form and its inverse.
+"""Banded linear algebra for the energy form and its inverse.
 
 The energy form of a network is the symmetric matrix ``A`` over alive
 vertices with ``A[x, x] = kappa(x) + sum_y C(x, y)`` and ``A[x, y] = -C(x, y)``.
 Its inverse ``G`` is the Green matrix of the continuous-time walk and the
-covariance of the Gaussian free field.  Everything here is dense and aimed at
-desk-scale verification (a few thousand alive vertices at most).
+covariance of the Gaussian free field.
+
+Neither ``A`` nor ``G`` is ever held dense.  With ``J`` the reversal of the
+alive order, ``J A J = M M^T`` for a lower triangular ``M`` of the same
+bandwidth ``b`` as ``A`` (the largest ``|i - j|`` over edges between alive
+vertices ``i``, ``j``).  Then the lower Cholesky factor of ``G`` is exactly
+``J M^-T J``, so a free field is one banded back-substitution,
+``log det G = -2 sum log M_ii``, and a column of ``G`` is two banded solves.
+Factoring costs O(n b^2) time and O(n b) memory; a box ``[-n, n]^d`` has
+``b`` about ``(2n + 1)^(d - 1)``, and a dense network is just ``b = n - 1``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy import sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dtbtrs
 
 from .network import Network, modified_network
 
@@ -37,22 +47,33 @@ class RecurrentNetworkError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GreenOperator:
-    """Energy form ``A``, Green matrix ``G = A^-1`` and derived factors.
+    """Band Cholesky factor of the energy form and the Green values it gives.
 
-    All matrices are indexed by position in ``alive`` (the alive vertices of
-    the network, ascending).  ``chol`` is the lower Cholesky factor of ``G``,
-    used to sample the free field.  ``log_det_g`` is ``log det G``.
+    Vectors are indexed by position in ``network.alive`` (the alive vertices,
+    ascending).  ``factor`` holds ``M``, the lower Cholesky factor of ``J A J``
+    with ``J`` the order reversal, in LAPACK lower band storage
+    (``factor[k, j] = M[j + k, j]``).  ``matrix_a`` is ``A`` as a sparse CSR
+    array and ``log_det_g`` is ``log det G``.  Columns of ``G`` are solved on
+    first use and cached.
     """
 
     network: Network
-    matrix_a: np.ndarray
-    green: np.ndarray
-    chol: np.ndarray
+    matrix_a: sparse.csr_array
+    factor: np.ndarray
     log_det_g: float
+    _columns: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def alive(self) -> np.ndarray:
-        return self.network.alive
+    def apply_chol(self, z: np.ndarray) -> np.ndarray:
+        """``chol(G) z`` over the last axis of ``z``, shape ``(..., n)``.
+
+        ``chol(G)`` is the lower Cholesky factor of ``G``, so standard normal
+        ``z`` give free fields.  It equals ``J M^-T J``: reverse, back-solve
+        with ``M^T``, reverse.
+        """
+        n = self.factor.shape[1]
+        rhs = z.reshape(-1, n)[:, ::-1].T
+        x, _ = dtbtrs(self.factor, rhs, uplo="L", trans="T")
+        return x[::-1].T.reshape(z.shape)
 
     def entry(self, x: int, y: int) -> float:
         """Green value by global vertex ids; zero if either vertex is absorbing."""
@@ -60,53 +81,56 @@ class GreenOperator:
         py = self.network.alive_pos[y]
         if px < 0 or py < 0:
             return 0.0
-        return float(self.green[px, py])
-
-    def variance(self, x: int) -> float:
-        return self.entry(x, x)
-
-
-def _energy_matrix(net: Network) -> np.ndarray:
-    alive = net.alive
-    pos = net.alive_pos
-    n = alive.size
-    a = np.zeros((n, n))
-    a[np.arange(n), np.arange(n)] = net.lambda_total[alive]
-    for u, v, c in net.edges:
-        pu, pv = pos[u], pos[v]
-        if pu >= 0 and pv >= 0:
-            a[pu, pv] -= c
-            a[pv, pu] -= c
-    return a
+        # one column per unordered pair keeps the values exactly symmetric
+        lo, hi = sorted((int(px), int(py)))
+        col = self._columns.get(hi)
+        if col is None:
+            # G e = J (M M^T)^-1 J e
+            unit = np.zeros(self.factor.shape[1])
+            unit[-1 - hi] = 1.0
+            col = self._columns[hi] = cho_solve_banded((self.factor, True), unit)[::-1]
+        return float(col[lo])
 
 
-def _chol_lower(a: np.ndarray) -> np.ndarray:
+def _energy_form(net: Network) -> sparse.csr_array:
+    """``A`` over alive positions, assembled from the edge arrays."""
+    n = net.alive.size
+    ends = net.alive_pos[net.edge_ends]
+    keep = (ends >= 0).all(axis=1)
+    (i, j), c = ends[keep].T, net.conductances[keep]
+    rows = np.concatenate([np.arange(n), i, j])
+    cols = np.concatenate([np.arange(n), j, i])
+    vals = np.concatenate([net.lambda_total[net.alive], -c, -c])
+    return sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+
+
+def _band_factor(a: sparse.csr_array) -> np.ndarray:
+    """Lower band Cholesky factor ``M`` of ``J A J``."""
+    low = sparse.tril(a[::-1, ::-1], format="coo")
+    band = np.zeros((int((low.row - low.col).max(initial=0)) + 1, a.shape[0]))
+    band[low.row - low.col, low.col] = low.data
     try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
+        factor = cholesky_banded(band, lower=True)
+    except LinAlgError as exc:
         raise RecurrentNetworkError(f"energy form is not positive definite: {exc}") from exc
-    piv = np.diag(low) ** 2
-    if piv.min() <= SPD_PIVOT_TOLERANCE * np.diag(a).max():
+    piv = factor[0] ** 2
+    if piv.min() <= SPD_PIVOT_TOLERANCE * band[0].max():
         raise RecurrentNetworkError(
             "energy form is numerically singular (near-recurrent network): "
             f"smallest pivot {piv.min():.3e}"
         )
-    return low
+    return factor
 
 
 def compute_green(net: Network) -> GreenOperator:
-    """Invert the energy form of a transient network.
+    """Factor the energy form of a transient network.
 
     Raises :class:`RecurrentNetworkError` if the form is not numerically
     positive definite.
     """
-    a = _energy_matrix(net)
-    low = _chol_lower(a)
-    g = cho_solve((low, True), np.eye(a.shape[0]))
-    g = 0.5 * (g + g.T)
-    log_det_g = -2.0 * float(np.sum(np.log(np.diag(low))))
-    chol_g = np.linalg.cholesky(g)
-    return GreenOperator(net, a, g, chol_g, log_det_g)
+    a = _energy_form(net)
+    factor = _band_factor(a)
+    return GreenOperator(net, a, factor, -2.0 * float(np.sum(np.log(factor[0]))))
 
 
 def normalized_green(gop: GreenOperator, x: int, y: int) -> float:
@@ -115,11 +139,6 @@ def normalized_green(gop: GreenOperator, x: int, y: int) -> float:
         raise ValueError("normalized Green is undefined at absorbing vertices")
     gxy = gop.entry(x, y)
     return gxy / math.sqrt(gop.entry(x, x) * gop.entry(y, y))
-
-
-def _log_det_a(net: Network) -> float:
-    low = _chol_lower(_energy_matrix(net))
-    return 2.0 * float(np.sum(np.log(np.diag(low))))
 
 
 def sqrt_det_ratio(net: Network, removed_edges) -> float:
@@ -132,10 +151,9 @@ def sqrt_det_ratio(net: Network, removed_edges) -> float:
     removed = list(removed_edges)
     if not removed:
         return 1.0
-    log_det_a = _log_det_a(net)
-    log_det_a_removed = _log_det_a(modified_network(net, removed))
-    # det G = 1 / det A, so the ratio in log domain flips sign
-    return math.exp(0.5 * (log_det_a - log_det_a_removed))
+    log_det_g = compute_green(net).log_det_g
+    log_det_g_removed = compute_green(modified_network(net, removed)).log_det_g
+    return math.exp(0.5 * (log_det_g_removed - log_det_g))
 
 
 def interpolated_green(

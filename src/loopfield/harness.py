@@ -79,9 +79,15 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
+        try:
+            # the echoed config holds the integers the experiment runs with
+            object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, "replicas", int(self.replicas))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"fields 'seed' and 'replicas': must be integers ({exc})") from exc
         if self.replicas < 1:
             raise ConfigError("field 'replicas': must be >= 1")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ConfigError("field 'seed': must be a 64-bit value")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
@@ -109,13 +115,7 @@ class ExperimentConfig:
         for key in doc:
             if key not in known:
                 raise ConfigError(f"field {key!r}: not a config field")
-        try:
-            seed, replicas = int(doc["seed"]), int(doc.get("replicas", 100_000))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"fields 'seed' and 'replicas': must be integers ({exc})") from exc
-        return cls(
-            **{**doc, "experiment": str(doc["experiment"]), "seed": seed, "replicas": replicas}
-        )
+        return cls(**{**doc, "experiment": str(doc["experiment"])})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -253,6 +253,18 @@ def _param(cfg: ExperimentConfig, name: str, convert, default=_REQUIRED):
         raise ConfigError(f"parameter {name!r}: bad value {value!r} ({exc})") from exc
 
 
+def _positive(convert):
+    """``convert`` followed by a check that the value is > 0."""
+
+    def checked(value):
+        value = convert(value)
+        if not value > 0:
+            raise ValueError("must be positive")
+        return value
+
+    return checked
+
+
 def _thresholds(cfg: ExperimentConfig) -> Thresholds:
     return Thresholds(
         z_limit=_param(cfg, "z_limit", float, DEFAULT_Z_LIMIT),
@@ -345,7 +357,7 @@ def _exp_occupation(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
     gop = compute_green(net)
     th = _thresholds(cfg)
-    alpha = _param(cfg, "alpha", float, 0.5)
+    alpha = _param(cfg, "alpha", _positive(float), 0.5)
     sampler = LoopSoupSampler(net, gop, alpha)
     alive = net.alive
 
@@ -445,9 +457,9 @@ def _exp_bridge(cfg: ExperimentConfig) -> list[TestRecord]:
 
 def _exp_interlacement(cfg: ExperimentConfig) -> list[TestRecord]:
     th = _thresholds(cfg)
-    d = _param(cfg, "d", int, 3)
-    n = _param(cfg, "n", int, 6)
-    u = _param(cfg, "u", float, 0.25)
+    d = _param(cfg, "d", _positive(int), 3)
+    n = _param(cfg, "n", _positive(int), 6)
+    u = _param(cfg, "u", _positive(float), 0.25)
     coords = _param(cfg, "k", lambda v: [[int(c) for c in point] for point in v], [[0] * d])
     if any(len(point) != d for point in coords):
         raise ConfigError(f"parameter 'k': every point needs {d} coordinates")
@@ -552,17 +564,17 @@ def _exp_interlacement(cfg: ExperimentConfig) -> list[TestRecord]:
 
 def _exp_isomorphism(cfg: ExperimentConfig) -> list[TestRecord]:
     th = _thresholds(cfg)
-    d = _param(cfg, "d", int, 2)
-    n = _param(cfg, "n", int, 5)
-    u = _param(cfg, "u", float, 0.5)
+    d = _param(cfg, "d", _positive(int), 2)
+    n = _param(cfg, "n", _positive(int), 5)
+    u = _param(cfg, "u", _positive(float), 0.5)
     star = build_star_graph(d, n)
     return isomorphism_check(star, u, cfg.replicas, cfg.seed, th)
 
 
 def _exp_levelset(cfg: ExperimentConfig) -> list[TestRecord]:
-    d = _param(cfg, "d", int, 2)
-    n = _param(cfg, "n", int, 5)
-    u = _param(cfg, "u", float, 1.0)
+    d = _param(cfg, "d", _positive(int), 2)
+    n = _param(cfg, "n", _positive(int), 5)
+    u = _param(cfg, "u", _positive(float), 1.0)
     star = build_star_graph(d, n)
     return levelset_containment_check(star, u, cfg.replicas, cfg.seed)
 

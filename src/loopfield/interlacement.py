@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from .clusters import build_partition
 from .gff import cable_open_probability
@@ -119,47 +117,11 @@ class CapacityReport:
     drift: float | None
 
 
-def _equilibrium_weights(net: Network, k_ids: list[int]) -> np.ndarray:
-    alive = net.alive
-    pos = net.alive_pos
-    k_set = set(k_ids)
-    in_k = np.zeros(net.vertex_count, dtype=bool)
-    in_k[k_ids] = True
-
-    u_ids = [int(x) for x in alive if int(x) not in k_set]
-    u_pos = {x: i for i, x in enumerate(u_ids)}
-    lam = net.lambda_total
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(len(u_ids))
-    for i, x in enumerate(u_ids):
-        for y, c, _ in net.neighbors[x]:
-            if pos[y] < 0:
-                continue
-            p = c / lam[x]
-            if in_k[y]:
-                rhs[i] += p
-            else:
-                rows.append(i)
-                cols.append(u_pos[y])
-                vals.append(p)
-    if u_ids:
-        p_uu = csr_matrix((vals, (rows, cols)), shape=(len(u_ids), len(u_ids)))
-        ident = csr_matrix((np.ones(len(u_ids)), (range(len(u_ids)), range(len(u_ids)))))
-        h = spsolve(ident - p_uu, rhs)
-        h = np.atleast_1d(h)
-    else:
-        h = np.zeros(0)
-
-    weights = np.empty(len(k_ids))
-    for j, x in enumerate(k_ids):
-        ret = 0.0
-        for y, c, _ in net.neighbors[x]:
-            if pos[y] < 0:
-                continue
-            p = c / lam[x]
-            ret += p if in_k[y] else p * h[u_pos[y]]
-        weights[j] = lam[x] * (1.0 - ret)
+def _equilibrium_from_green(net: Network, k_ids: list[int]) -> np.ndarray:
+    # e_K solves G_KK e_K = 1, which is sum_y G(x, y) e_K(y) = 1 on K
+    gop = compute_green(net)
+    g_kk = np.array([[gop.entry(x, y) for y in k_ids] for x in k_ids])
+    weights = np.linalg.solve(g_kk, np.ones(len(k_ids)))
     if weights.min() < -1e-10:
         raise ArithmeticError(f"negative equilibrium weight {weights.min()!r}")
     return np.clip(weights, 0.0, None)
@@ -167,7 +129,7 @@ def _equilibrium_weights(net: Network, k_ids: list[int]) -> np.ndarray:
 
 def compute_capacity(net: Network, k_vertices) -> CapacityReport:
     """Equilibrium measure ``e_K(x) = lambda(x) P_x(no return to K)`` and its
-    total mass, solved through the harmonic system on the box.
+    total mass, from ``G_KK e_K = 1`` with k columns of the Green matrix.
 
     For box networks the distance of K to the absorbing boundary is checked
     (margin of at least 2 layers) and the capacity is recomputed on a box
@@ -194,7 +156,7 @@ def compute_capacity(net: Network, k_vertices) -> CapacityReport:
                 f"(need {CAPACITY_MARGIN})"
             )
 
-    weights = _equilibrium_weights(net, k_ids)
+    weights = _equilibrium_from_green(net, k_ids)
     capacity = float(weights.sum())
     if capacity <= 0:
         raise ArithmeticError("capacity must be positive")
@@ -215,7 +177,7 @@ def compute_capacity(net: Network, k_vertices) -> CapacityReport:
             )
             for x in k_ids
         ]
-        refined = float(_equilibrium_weights(big, remap).sum())
+        refined = float(_equilibrium_from_green(big, remap).sum())
         drift = abs(refined - capacity) / capacity
 
     return CapacityReport(tuple(k_ids), weights, capacity, margin, refined, drift)
@@ -369,8 +331,8 @@ def isomorphism_check(
 
     rng_fields = derive_stream(seed, 1)
     n = net.alive.size
-    phi_prime = rng_fields.standard_normal((replicas, n)) @ gop.chol.T
-    phi = rng_fields.standard_normal((replicas, n)) @ gop.chol.T
+    phi_prime = gop.apply_chol(rng_fields.standard_normal((replicas, n)))
+    phi = gop.apply_chol(rng_fields.standard_normal((replicas, n)))
     lhs = occ + 0.5 * phi_prime**2
     rhs = 0.5 * (phi - math.sqrt(2.0 * u)) ** 2
 
@@ -419,7 +381,7 @@ def levelset_field(
     occ, edge_hit, vertex_hit = star_excursion_batch(star, u, replicas, seed, track_edges=True)
 
     rng_fields = derive_stream(seed, 1)
-    phi_prime = rng_fields.standard_normal((replicas, net.alive.size)) @ gop.chol.T
+    phi_prime = gop.apply_chol(rng_fields.standard_normal((replicas, net.alive.size)))
     s_full = np.full((replicas, net.vertex_count), float(u))
     s_full[:, net.alive] = occ + 0.5 * phi_prime**2
 

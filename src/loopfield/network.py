@@ -219,6 +219,8 @@ def _connected(n: int, adj: list[list[tuple[int, float, int]]]) -> bool:
 
 
 def box_vertex_index(dimension: int, half_width: int, coords: Sequence[int]) -> int:
+    if len(coords) != dimension:
+        raise NetworkError(f"point {tuple(coords)} needs {dimension} coordinates")
     side = 2 * half_width + 1
     idx = 0
     for c in coords:

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from loopfield.green import compute_green
+from loopfield.harness import parse_network_spec
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -37,3 +40,9 @@ def test_workload_configs_validate(tiny):
     workloads = _load("workloads")
     for name in workloads.WORKLOADS:
         assert workloads.make_configs(name, 1, tiny=tiny)
+
+
+def test_green_operator_reports_its_size():
+    # bench/tracer.py reads green.alive_n_max from the energy form's shape
+    net = parse_network_spec("box:d=2,n=3,mode=absorbing")
+    assert compute_green(net).matrix_a.shape[0] == net.alive.size == 25

@@ -117,7 +117,7 @@ def test_absent_edge_functional_identity(path3):
     lhs, sem_lhs = mc_mean(hits)
 
     rng = derive_stream(57, 0)
-    psi = rng.standard_normal((200_000, 3)) @ gop.chol.T
+    psi = gop.apply_chol(rng.standard_normal((200_000, 3)))
     prod = psi[:, 0] * psi[:, 1]
     rhs_samples = np.exp(-1.0 * (np.abs(prod) + prod))
     rhs, sem_rhs = mc_mean(rhs_samples)

@@ -41,11 +41,11 @@ def test_two_vertex_covariance(two_vertex):
     net, gop = two_vertex
     rng = derive_stream(22, 0)
     z = rng.standard_normal((100_000, 2))
-    phi = z @ gop.chol.T
+    phi = gop.apply_chol(z)
     for i in range(2):
         for j in range(i, 2):
             est, sem = mc_mean(phi[:, i] * phi[:, j])
-            assert abs(z_score(est, gop.green[i, j], sem)) < 3.9
+            assert abs(z_score(est, gop.entry(i, j), sem)) < 3.9
 
 
 def test_edge_probability_values():
@@ -132,7 +132,7 @@ def test_sign_correlation_identity(grid3):
     net, gop = grid3
     rng = derive_stream(25, 0)
     z = rng.standard_normal((100_000, 9))
-    phi = z @ gop.chol.T
+    phi = gop.apply_chol(z)
     for x, y in [(0, 4), (0, 8), (3, 5)]:
         target = connectivity_probability(gop, x, y)
         est, sem = mc_mean(np.sign(phi[:, x]) * np.sign(phi[:, y]))

@@ -56,6 +56,12 @@ def test_config_validation():
         ExperimentConfig.from_dict({"experiment": "connectivity", "seed": None})
     with pytest.raises(ConfigError):
         ExperimentConfig("connectivity", seed=1, parameters=[("x", 0)])
+    # built directly, not through from_dict
+    with pytest.raises(ConfigError, match="'seed'"):
+        ExperimentConfig("connectivity", seed=None)
+    with pytest.raises(ConfigError, match="'replicas'"):
+        ExperimentConfig("connectivity", seed=1, replicas="many")
+    assert ExperimentConfig.from_dict({"experiment": "connectivity", "seed": "7"}).seed == 7
 
 
 def test_unknown_parameters_are_rejected():
@@ -172,7 +178,8 @@ def test_every_acceptance_experiment_is_registered():
 def test_cli_green_and_connectivity(tmp_path, capsys):
     assert main(["green", "--net", "two-vertex"]) == 0
     out = capsys.readouterr().out
-    assert "G,0,1,0.33333333333333337" in out
+    # G(0, 1) = 1/3, printed to 17 digits as the double nearest 1/3
+    assert "G,0,1,0.33333333333333331" in out
 
     code = main(
         [
@@ -223,6 +230,12 @@ def test_cli_run_config_and_errors(tmp_path, capsys):
         (None, {"experiment": "bridge-check", "parameters": {"lambda_grid": 3}}),
         (None, {"experiment": "interlacement", "parameters": {"star_replica": 500}}),
         (None, {"experiment": "interlacement", "parameters": {"d": 3, "n": 5, "k": [[0, 0]]}}),
+        (None, {"experiment": "interlacement", "parameters": {"u": -0.5}}),
+        (None, {"experiment": "isomorphism-check", "parameters": {"u": -0.5}}),
+        (None, {"experiment": "levelset-check", "parameters": {"u": 0.0}}),
+        (None, {"experiment": "occupation-field", "network": "path:3", "parameters": {"alpha": 0}}),
+        (None, {"experiment": "isomorphism-check", "parameters": {"d": 0}}),
+        (None, {"experiment": "levelset-check", "parameters": {"n": -1}}),
     ],
     ids=[
         "vertex-out-of-range",
@@ -233,6 +246,12 @@ def test_cli_run_config_and_errors(tmp_path, capsys):
         "bridge-check-grid-not-list",
         "interlacement-unknown-name",
         "interlacement-short-point",
+        "interlacement-negative-u",
+        "isomorphism-negative-u",
+        "levelset-zero-u",
+        "occupation-zero-alpha",
+        "isomorphism-zero-d",
+        "levelset-negative-n",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config):
@@ -243,6 +262,23 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: parameter ")
+
+
+@pytest.mark.parametrize(
+    "experiment, name, value",
+    [
+        ("interlacement", "u", -0.5),
+        ("isomorphism-check", "u", 0.0),
+        ("levelset-check", "d", 0),
+        ("levelset-check", "n", -1),
+        ("occupation-field", "alpha", -1.0),
+        ("occupation-field", "alpha", float("nan")),
+    ],
+)
+def test_parameter_ranges_name_the_parameter(experiment, name, value):
+    cfg = ExperimentConfig(experiment, seed=1, network="path:3", parameters={name: value})
+    with pytest.raises(ConfigError, match=f"parameter '{name}'.*must be positive"):
+        run_experiment(cfg)
 
 
 def test_cli_sampling_commands(tmp_path, capsys):

@@ -76,6 +76,34 @@ def test_capacity_pair_identities(box3):
     assert np.all(report.equilibrium >= 0)
 
 
+def _escape_weights(net, k_ids):
+    """Equilibrium weights lambda(x) P_x(no return to K) from the harmonic
+    system of the jump chain, dense: the route that does not use G."""
+    alive = [int(x) for x in net.alive]
+    jump = np.zeros((net.vertex_count, net.vertex_count))
+    for u, v, c in net.edges:
+        jump[u, v] = c / net.lambda_total[u]
+        jump[v, u] = c / net.lambda_total[v]
+    outside = [x for x in alive if x not in k_ids]
+    # h(y) = P_y(hit K), harmonic off K, 0 at absorbing vertices
+    h_out = np.linalg.solve(
+        np.eye(len(outside)) - jump[np.ix_(outside, outside)],
+        jump[np.ix_(outside, k_ids)].sum(axis=1),
+    )
+    hit = np.zeros(net.vertex_count)
+    hit[k_ids] = 1.0
+    hit[outside] = h_out
+    return np.array([net.lambda_total[x] * (1.0 - jump[x] @ hit) for x in k_ids])
+
+
+def test_capacity_matches_escape_probabilities(box3):
+    net, _ = box3
+    k_ids = [box_vertex_index(3, 5, c) for c in ((0, 0, 0), (1, 0, 0), (0, 1, 1))]
+    report = compute_capacity(net, k_ids)
+    expected = _escape_weights(net, sorted(k_ids))
+    assert np.allclose(report.equilibrium, expected, rtol=1e-10, atol=0)
+
+
 def test_capacity_rejections(box3):
     net, _ = box3
     with pytest.raises(ValueError):
@@ -195,8 +223,8 @@ def test_isomorphism_degenerate_u_zero():
     assert np.all(occ == 0.0)
     rng = derive_stream(70, 1)
     n = star.network.alive.size
-    lhs = occ + 0.5 * (rng.standard_normal((4_000, n)) @ gop.chol.T) ** 2
-    rhs = 0.5 * (rng.standard_normal((4_000, n)) @ gop.chol.T) ** 2
+    lhs = occ + 0.5 * gop.apply_chol(rng.standard_normal((4_000, n))) ** 2
+    rhs = 0.5 * gop.apply_chol(rng.standard_normal((4_000, n))) ** 2
     center = star.network.alive_pos[box_vertex_index(2, 4, (0, 0))]
     assert sps.ks_2samp(lhs[:, center], rhs[:, center]).pvalue > 1e-3
 
@@ -219,7 +247,7 @@ def _levelset_reference(star, u, replicas, seed):
     net = star.network
     gop = compute_green(net)
     occ, edge_hit, _ = star_excursion_batch(star, u, replicas, seed, track_edges=True)
-    phi_prime = derive_stream(seed, 1).standard_normal((replicas, net.alive.size)) @ gop.chol.T
+    phi_prime = gop.apply_chol(derive_stream(seed, 1).standard_normal((replicas, net.alive.size)))
     s_alive = occ + 0.5 * phi_prime**2
     open_draws = derive_stream(seed, 2).random((replicas, net.edge_count))
     rng_signs = derive_stream(seed, 3)

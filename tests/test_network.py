@@ -137,3 +137,10 @@ def test_box_index_bijection():
         for idx in range(side**d):
             coords = box_vertex_coords(d, n, idx)
             assert box_vertex_index(d, n, coords) == idx
+
+
+def test_box_index_needs_one_coordinate_per_axis():
+    # a short point used to land on another vertex, a long one outside the box
+    for coords in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(NetworkError, match="3 coordinates"):
+            box_vertex_index(3, 5, coords)
