@@ -23,7 +23,6 @@ from .green import (
 )
 from .gff import (
     FieldSample,
-    EdgeConfiguration,
     sample_gff,
     sample_edge_configuration,
     connectivity_probability,
@@ -35,9 +34,10 @@ from .loopsoup import (
     OccupationField,
     LoopSoupSampler,
     occupation_field,
+    traversed_edges,
     loop_clusters,
 )
-from .coupling import CoupledSample, couple, verify_gff_law
+from .coupling import CoupledSample, couple
 from .bridges import (
     BridgeProblem,
     zero_probability_closed_form,

@@ -1,7 +1,9 @@
 """Union-find and deterministic cluster partitions.
 
-Cluster labels are always the smallest vertex id in the component, so a
-partition built from the same merges is identical across runs.
+A partition is two arrays: ``labels``, the smallest vertex id in each
+vertex's cluster, and ``edges``, a boolean mask of the edges whose ends were
+merged.  Labels are canonical, so a partition built from the same merges is
+identical across runs whatever the merge order.
 """
 
 from __future__ import annotations
@@ -42,53 +44,29 @@ class UnionFind:
 
 @dataclass(frozen=True, eq=False)
 class ClusterPartition:
-    """Partition of vertices with per-cluster vertex and edge sets.
+    """Partition of vertices by a set of merged edges.
 
-    ``labels[x]`` is the smallest vertex id in the cluster of ``x``.
-    ``edge_sets`` lists, per cluster label, the edge ids attached to the
-    cluster (traversed by loops, or open, depending on the builder); clusters
-    without edges are singletons or come from vertex-only merges.
+    ``labels[x]`` is the smallest vertex id in the cluster of ``x``, so the
+    cluster roots are the vertices with ``labels[x] == x``, in increasing
+    order.  ``edges[e]`` is True for the edges whose ends were merged
+    (the edges traversed by loops, or the open edges of a percolation).
     """
 
     labels: np.ndarray
-    members: dict[int, tuple[int, ...]]
-    edge_sets: dict[int, tuple[int, ...]]
+    edges: np.ndarray
 
     @property
     def cluster_count(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.labels == np.arange(self.labels.size)))
 
     def same_cluster(self, x: int, y: int) -> bool:
         return bool(self.labels[x] == self.labels[y])
 
 
-def build_partition(
-    vertex_count: int,
-    merges,
-    edge_records=None,
-) -> ClusterPartition:
-    """Build a partition from vertex merges and optional edge attachments.
-
-    ``merges`` is an iterable of ``(x, y)`` vertex pairs to union.
-    ``edge_records`` is an iterable of ``(x, edge_id)`` pairs; each edge id is
-    attached to the cluster containing ``x`` after all merges.
-    """
+def build_partition(vertex_count: int, merges) -> np.ndarray:
+    """Cluster labels after uniting every ``(x, y)`` pair of ``merges``:
+    ``labels[x]`` is the smallest vertex id in the component of ``x``."""
     uf = UnionFind(vertex_count)
     for x, y in merges:
         uf.union(x, y)
-    labels = uf.labels()
-
-    members: dict[int, list[int]] = {}
-    for x in range(vertex_count):
-        members.setdefault(int(labels[x]), []).append(x)
-
-    edge_sets: dict[int, set[int]] = {label: set() for label in members}
-    if edge_records is not None:
-        for x, eid in edge_records:
-            edge_sets[int(labels[x])].add(int(eid))
-
-    return ClusterPartition(
-        labels,
-        {k: tuple(v) for k, v in sorted(members.items())},
-        {k: tuple(sorted(v)) for k, v in sorted(edge_sets.items())},
-    )
+    return uf.labels()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import ClusterPartition
-from .gff import EdgeConfiguration, FieldSample, cable_open_probability, cluster_edges
+from .gff import FieldSample, cable_open_probability, cluster_edges
 from .green import GreenOperator, normalized_green
 from .loopsoup import (
     LoopSoupSample,
@@ -38,7 +38,6 @@ __all__ = [
     "couple",
     "collect_coupled_fields",
     "field_law_records",
-    "verify_gff_law",
 ]
 
 COUPLING_ALPHA = 0.5
@@ -46,14 +45,18 @@ COUPLING_ALPHA = 0.5
 
 @dataclass(frozen=True, eq=False)
 class CoupledSample:
-    """Soup, the opened edges, the merged sign clusters and the field."""
+    """Soup, its loop clusters, the merged sign clusters and the field.
+
+    ``base_clusters.edges`` are the loop-traversed edges and
+    ``merged_clusters.edges`` the open ones, so the edges the coupling opened
+    are ``merged_clusters.edges & ~base_clusters.edges``; each merged
+    cluster's sign is the sign of the field on it.
+    """
 
     soup: LoopSoupSample
     occupation: OccupationField
     base_clusters: ClusterPartition
-    extra_open_edges: tuple[int, ...]
     merged_clusters: ClusterPartition
-    signs: dict[int, int]
     field: FieldSample
 
 
@@ -72,29 +75,23 @@ def couple(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> Coup
 
     occ = occupation_field(soup)
     base = loop_clusters(soup, net)
-    is_open = np.zeros(net.edge_count, dtype=bool)
-    is_open[[eid for edge_ids in base.edge_sets.values() for eid in edge_ids]] = True
-    candidates = (~is_open).nonzero()[0]
+    candidates = np.flatnonzero(~base.edges)
     # one array call over every edge; only the candidates' entries are used
     a, b = net.edge_ends.T
     probs = cable_open_probability(net.conductances, np.sqrt(occ.values[a] * occ.values[b]))
-    extra = candidates[rng.random(candidates.size) < probs[candidates]]
-    is_open[extra] = True
-    merged = cluster_edges(EdgeConfiguration(is_open), net)
+    is_open = base.edges.copy()
+    is_open[candidates[rng.random(candidates.size) < probs[candidates]]] = True
+    merged = cluster_edges(is_open, net)
 
-    labels = sorted(merged.members)
-    sign_draws = rng.integers(0, 2, size=len(labels)) * 2 - 1
-    signs = dict(zip(labels, sign_draws.tolist()))
+    roots = np.flatnonzero(merged.labels == np.arange(net.vertex_count))
     vertex_sign = np.zeros(net.vertex_count)
-    vertex_sign[labels] = sign_draws
+    vertex_sign[roots] = rng.integers(0, 2, size=roots.size) * 2 - 1
 
     alive = net.alive
     values = np.zeros(net.vertex_count)
     values[alive] = vertex_sign[merged.labels[alive]] * np.sqrt(2.0 * occ.values[alive])
 
-    return CoupledSample(
-        soup, occ, base, tuple(extra.tolist()), merged, signs, FieldSample(values)
-    )
+    return CoupledSample(soup, occ, base, merged, FieldSample(values))
 
 
 def collect_coupled_fields(
@@ -110,7 +107,7 @@ def collect_coupled_fields(
 
     def one(_i, rng):
         coupled = couple(net, sampler.sample(rng), rng)
-        # each cluster label is one of its members, so the sign is constant on
+        # each cluster label is a vertex of its cluster, so the sign is constant on
         # every cluster exactly when each vertex agrees with its label vertex
         sign = np.sign(coupled.field.values)
         broken = bool((sign != sign[coupled.base_clusters.labels]).any())
@@ -192,16 +189,3 @@ def field_law_records(
                 )
     return records
 
-
-def verify_gff_law(
-    net: Network,
-    gop: GreenOperator,
-    replicas: int,
-    seed: int,
-    thresholds: Thresholds | None = None,
-) -> list[TestRecord]:
-    """Replicate the coupling and check the field law end to end."""
-    if replicas < 1000:
-        raise ValueError("verify_gff_law needs at least 1000 replicas")
-    fields, violations = collect_coupled_fields(net, gop, replicas, seed)
-    return field_law_records(net, gop, fields, violations, thresholds)

@@ -22,7 +22,6 @@ from .network import Network
 
 __all__ = [
     "FieldSample",
-    "EdgeConfiguration",
     "sample_gff",
     "sample_edge_configuration",
     "cable_open_probability",
@@ -36,13 +35,6 @@ class FieldSample:
     """Field values per vertex; zero at absorbing vertices."""
 
     values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeConfiguration:
-    """Open/closed flag per edge of the network."""
-
-    open: np.ndarray
 
 
 def sample_gff(gop: GreenOperator, rng: np.random.Generator) -> FieldSample:
@@ -68,8 +60,8 @@ def cable_open_probability(conductance, product):
 
 def sample_edge_configuration(
     field: FieldSample, net: Network, rng: np.random.Generator
-) -> EdgeConfiguration:
-    """Open each edge independently given the field.
+) -> np.ndarray:
+    """Open each edge independently given the field; the boolean open mask.
 
     One uniform draw is consumed per edge, in edge-id order, so the
     configuration is reproducible for a fixed stream.
@@ -78,7 +70,7 @@ def sample_edge_configuration(
     a, b = net.edge_ends.T
     probs = cable_open_probability(net.conductances, phi[a] * phi[b])
     draws = rng.random(net.edge_count)
-    return EdgeConfiguration(draws < probs)
+    return draws < probs
 
 
 def connectivity_probability(gop: GreenOperator, x: int, y: int) -> float:
@@ -86,11 +78,8 @@ def connectivity_probability(gop: GreenOperator, x: int, y: int) -> float:
     return (2.0 / math.pi) * math.asin(normalized_green(gop, x, y))
 
 
-def cluster_edges(config: EdgeConfiguration, net: Network) -> ClusterPartition:
-    """Connected components over open edges, deterministic labels; each open
-    edge is attached to its cluster."""
-    open_ids = config.open.nonzero()[0]
-    ends = net.edge_ends[open_ids]
-    return build_partition(
-        net.vertex_count, ends.tolist(), zip(ends[:, 0].tolist(), open_ids.tolist())
-    )
+def cluster_edges(open_mask: np.ndarray, net: Network) -> ClusterPartition:
+    """Connected components over the edges of a boolean mask, with
+    deterministic labels; the mask is the partition's merged edges."""
+    labels = build_partition(net.vertex_count, net.edge_ends[open_mask].tolist())
+    return ClusterPartition(labels, open_mask)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .interlacement import (
     star_excursion_batch,
     trace_occupation_batch,
 )
-from .loopsoup import LoopSoupSampler, occupation_field
+from .loopsoup import LoopSoupSampler, occupation_field, traversed_edges
 from .network import (
     Network,
     NetworkError,
@@ -94,6 +93,11 @@ class ExperimentConfig:
                 f"field 'experiment': unknown id {self.experiment!r}; "
                 f"known: {sorted(EXPERIMENTS)}"
             )
+        if self.network is not None and self.experiment not in NETWORK_EXPERIMENTS:
+            raise ConfigError(
+                f"field 'network': not read by experiment {self.experiment!r}; "
+                f"only by {sorted(NETWORK_EXPERIMENTS)}"
+            )
         if not isinstance(self.parameters, dict):
             raise ConfigError("field 'parameters': must be an object")
         accepted = PARAMETERS[self.experiment]
@@ -109,6 +113,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
         if "experiment" not in doc or "seed" not in doc:
             raise ConfigError("config needs at least 'experiment' and 'seed'")
         known = {f.name for f in fields(cls)}
@@ -119,7 +125,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            doc = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ConfigError(f"config file {str(path)!r}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"config file {str(path)!r}: not JSON ({exc})") from exc
+        return cls.from_dict(doc)
 
 
 @dataclass(frozen=True)
@@ -176,15 +188,22 @@ def _fmt(value) -> str:
 
 # -- network shorthand -------------------------------------------------------
 
-_SHORTHAND = re.compile(r"^(two-vertex|path|grid|box)")
+# the options each shorthand accepts
+_SHORTHAND_OPTIONS = {
+    "two-vertex": {"c", "k"},
+    "path": {"c", "k"},
+    "grid": {"c", "k"},
+    "box": {"d", "n", "c", "k", "mode"},
+}
 
 
 def parse_network_spec(spec) -> Network:
     """Accept a dict, inline JSON, a file path or a shorthand string.
 
-    Shorthands: ``two-vertex``, ``path:N[:c=..][:k=..]``,
+    Shorthands: ``two-vertex[:c=..][:k=..]``, ``path:N[:c=..][:k=..]``,
     ``grid:RxC[:c=..][:k=..]`` and
     ``box:d=..,n=..[,c=..][,k=..][,mode=killed_uniform|absorbing|halfplane_floor]``.
+    An unknown or repeated option is a ConfigError.
     """
     if isinstance(spec, dict):
         return Network.from_dict(spec)
@@ -195,21 +214,27 @@ def parse_network_spec(spec) -> Network:
         return network_from_json(text)
     if Path(text).is_file():
         return network_from_json(Path(text).read_text())
-    if not _SHORTHAND.match(text):
-        raise ConfigError(f"field 'network': no such file and not a shorthand: {spec!r}")
 
     parts = text.split(":")
     kind = parts[0]
-    opts: dict[str, str] = {}
+    if kind not in _SHORTHAND_OPTIONS:
+        raise ConfigError(f"field 'network': no such file and not a shorthand: {spec!r}")
     if kind == "box":
-        for item in ":".join(parts[1:]).split(","):
-            if item:
-                key, _, val = item.partition("=")
-                opts[key] = val
+        items = ":".join(parts[1:]).split(",")
     else:
-        for item in parts[2:]:
-            key, _, val = item.partition("=")
-            opts[key] = val
+        # path and grid give their size before the options
+        items = parts[1:] if kind == "two-vertex" else parts[2:]
+    opts: dict[str, str] = {}
+    for item in filter(None, items):
+        key, _, val = item.partition("=")
+        if key not in _SHORTHAND_OPTIONS[kind]:
+            raise ConfigError(
+                f"field 'network': unknown option {key!r} in {spec!r}; "
+                f"known: {sorted(_SHORTHAND_OPTIONS[kind])}"
+            )
+        if key in opts:
+            raise ConfigError(f"field 'network': option {key!r} repeated in {spec!r}")
+        opts[key] = val
     try:
         if kind == "two-vertex":
             return two_vertex_network(float(opts.get("c", 1.0)), float(opts.get("k", 1.0)))
@@ -220,17 +245,15 @@ def parse_network_spec(spec) -> Network:
             return grid_network(
                 int(rows), int(cols), float(opts.get("c", 1.0)), float(opts.get("k", 1.0))
             )
-        if kind == "box":
-            return build_box_network(
-                int(opts["d"]),
-                int(opts["n"]),
-                float(opts.get("c", 1.0)),
-                float(opts.get("k", 0.0)),
-                opts.get("mode", "killed_uniform"),
-            )
-    except (KeyError, ValueError, NetworkError) as exc:
+        return build_box_network(
+            int(opts["d"]),
+            int(opts["n"]),
+            float(opts.get("c", 1.0)),
+            float(opts.get("k", 0.0)),
+            opts.get("mode", "killed_uniform"),
+        )
+    except (IndexError, KeyError, ValueError, NetworkError) as exc:
         raise ConfigError(f"field 'network': bad shorthand {spec!r}: {exc}") from exc
-    raise ConfigError(f"field 'network': unrecognized spec {spec!r}")
 
 
 # -- experiments ---------------------------------------------------------------
@@ -317,17 +340,10 @@ def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
     th = _thresholds(cfg)
     edge_ids = sorted(net.edge_id(u, v) for u, v in edges)
     exact = sqrt_det_ratio(net, edge_ids)
-    marked = set(edge_ids)
     sampler = LoopSoupSampler(net, gop, 0.5)
 
     def one(_i, rng):
-        soup = sampler.sample(rng)
-        for skeleton, _ in soup.loops:
-            verts = skeleton.vertices
-            for k in range(len(verts)):
-                if net.edge_id(verts[k], verts[(k + 1) % len(verts)]) in marked:
-                    return 0.0
-        return 1.0
+        return 0.0 if traversed_edges(sampler.sample(rng), net)[edge_ids].any() else 1.0
 
     hits = np.array(replicate(cfg.replicas, cfg.seed, one))
     est, sem = mc_mean(hits)
@@ -589,6 +605,9 @@ EXPERIMENTS = {
     "isomorphism-check": _exp_isomorphism,
     "levelset-check": _exp_levelset,
 }
+
+# the experiments that read the 'network' field; the others build their own
+NETWORK_EXPERIMENTS = {"connectivity", "det-ratio", "coupling-law", "occupation-field"}
 
 # the parameter names each experiment reads; any other name is rejected
 PARAMETERS = {

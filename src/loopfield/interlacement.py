@@ -34,7 +34,6 @@ __all__ = [
     "StarGraph",
     "CapacityReport",
     "build_star_graph",
-    "box_window_vertices",
     "compute_capacity",
     "trace_occupation_batch",
     "star_excursion_batch",
@@ -87,19 +86,6 @@ def build_star_graph(dimension: int, half_width: int) -> StarGraph:
         np.array(entry_vertices),
         np.array(entry_edges),
     )
-
-
-def box_window_vertices(net: Network, radius: int) -> np.ndarray:
-    """Vertex ids of the sub-box with all coordinates within ``radius``."""
-    if not net.meta or net.meta.get("kind") != "box":
-        raise NetworkError("window extraction requires a box network")
-    d, n = net.meta["dimension"], net.meta["half_width"]
-    ids = [
-        idx
-        for idx in range(net.vertex_count)
-        if max(abs(c) for c in box_vertex_coords(d, n, idx)) <= radius
-    ]
-    return np.array(ids)
 
 
 # -- capacity ---------------------------------------------------------------
@@ -395,15 +381,16 @@ def levelset_field(
 
     absorbing = np.flatnonzero(~np.isfinite(net.killing))
     boundary_pairs = [(int(absorbing[0]), int(x)) for x in absorbing[1:]]
+    vertex_ids = np.arange(net.vertex_count)
     signs = np.empty((replicas, net.vertex_count))
     for r in range(replicas):
         pairs = boundary_pairs + net.edge_ends[is_open[r]].tolist()
-        merged = build_partition(net.vertex_count, pairs)
-        boundary = merged.labels[absorbing[0]]
-        free = [label for label in merged.members if label != boundary]
+        labels = build_partition(net.vertex_count, pairs)
+        # the cluster roots other than the boundary's, in increasing order
+        free = np.flatnonzero((labels == vertex_ids) & (vertex_ids != labels[absorbing[0]]))
         label_sign = np.full(net.vertex_count, -1.0)
-        label_sign[free] = rng_signs.integers(0, 2, size=len(free)) * 2 - 1
-        signs[r] = label_sign[merged.labels]
+        label_sign[free] = rng_signs.integers(0, 2, size=free.size) * 2 - 1
+        signs[r] = label_sign[labels]
 
     phi = math.sqrt(2.0 * u) + signs * np.sqrt(2.0 * s_full)
     return phi[:, net.alive], vertex_hit

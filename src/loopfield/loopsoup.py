@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .clusters import ClusterPartition, build_partition
+from .clusters import ClusterPartition
+from .gff import cluster_edges
 from .green import GreenOperator
 from .network import Network
 
@@ -40,6 +41,7 @@ __all__ = [
     "OccupationField",
     "LoopSoupSampler",
     "occupation_field",
+    "traversed_edges",
     "loop_clusters",
 ]
 
@@ -227,19 +229,25 @@ def occupation_field(sample: LoopSoupSample) -> OccupationField:
     return OccupationField(values)
 
 
+def traversed_edges(sample: LoopSoupSample, net: Network) -> np.ndarray:
+    """Boolean mask of the edges crossed by some loop, including each loop's
+    closing step from its last vertex back to its first."""
+    crossed = np.zeros(net.edge_count, dtype=bool)
+    crossed[
+        [
+            net.edge_id(u, v)
+            for skeleton, _ in sample.loops
+            for u, v in zip(skeleton.vertices, skeleton.vertices[1:] + skeleton.vertices[:1])
+        ]
+    ] = True
+    return crossed
+
+
 def loop_clusters(sample: LoopSoupSample, net: Network) -> ClusterPartition:
-    """Merge all vertices visited by a common loop; record traversed edges.
+    """Merge the ends of every traversed edge, so all vertices visited by a
+    common loop share a cluster; the partition's edges are the traversed ones.
 
     Vertices visited by no loop stay singletons: trivial loops never traverse
     an edge and so never merge anything.
     """
-    merges = []
-    records = []
-    for skeleton, _ in sample.loops:
-        verts = skeleton.vertices
-        n = len(verts)
-        for i in range(n):
-            u, v = verts[i], verts[(i + 1) % n]
-            merges.append((u, v))
-            records.append((u, net.edge_id(u, v)))
-    return build_partition(net.vertex_count, merges, records)
+    return cluster_edges(traversed_edges(sample, net), net)

@@ -22,7 +22,6 @@ __all__ = [
     "ks_pvalue",
     "normal_cdf",
     "half_square_cdf",
-    "chi_square_uniform_pvalue",
 ]
 
 DEFAULT_Z_LIMIT = 3.9
@@ -93,10 +92,3 @@ def half_square_cdf(t, variance: float):
     t = np.asarray(t, dtype=float)
     return np.where(t <= 0, 0.0, erf(np.sqrt(np.clip(t, 0, None) / variance)))
 
-
-def chi_square_uniform_pvalue(samples: np.ndarray, bins: int = 16) -> float:
-    """Chi-square equidistribution p-value for uniform [0, 1) samples."""
-    counts, _ = np.histogram(np.asarray(samples), bins=bins, range=(0.0, 1.0))
-    expected = len(samples) / bins
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    return float(sps.chi2.sf(stat, df=bins - 1))

@@ -1,8 +1,9 @@
 """The benchmark's view of the package: names it wraps and configs it runs.
 
 ``bench/tracer.py`` wraps loopfield functions by name and ``bench/workloads.py``
-builds experiment configs; a rename, deletion or stricter validation that
-breaks either shows up here in a second instead of in a benchmark run.
+builds experiment configs and makes their set-up calls; a rename, deletion,
+signature change or stricter validation that breaks either shows up here in
+seconds instead of in a benchmark run.
 """
 
 import importlib
@@ -40,6 +41,14 @@ def test_workload_configs_validate(tiny):
     workloads = _load("workloads")
     for name in workloads.WORKLOADS:
         assert workloads.make_configs(name, 1, tiny=tiny)
+
+
+def test_workload_construction_calls_run():
+    # the set-up calls the benchmark times, with the arguments it passes
+    workloads = _load("workloads")
+    for name in workloads.WORKLOADS:
+        for cfg in workloads.make_configs(name, 1, tiny=True):
+            assert workloads.construct(cfg), (name, cfg.experiment)
 
 
 def test_green_operator_reports_its_size():

@@ -10,10 +10,12 @@ from loopfield import (
     Network,
     compute_green,
     couple,
-    verify_gff_law,
+    occupation_field,
 )
-from loopfield.coupling import collect_coupled_fields
+from loopfield.clusters import UnionFind
+from loopfield.coupling import collect_coupled_fields, field_law_records
 from loopfield.gff import cable_open_probability
+from loopfield.harness import parse_network_spec
 from loopfield.stats import mc_mean, z_score
 from loopfield.streams import derive_stream
 
@@ -43,7 +45,7 @@ def test_zero_occupation_edge_never_opens(path3):
     )
     for r in range(500):
         coupled = couple(net, soup, derive_stream(52, r))
-        assert net.edge_id(1, 2) not in coupled.extra_open_edges
+        assert not coupled.merged_clusters.edges[net.edge_id(1, 2)]
         assert coupled.field.values[2] == 0.0
 
 
@@ -53,39 +55,34 @@ def test_structural_invariants(path3):
     for r in range(400):
         rng = derive_stream(53, r)
         coupled = couple(net, sampler.sample(rng), rng)
-        traversed = set()
-        for ids in coupled.base_clusters.edge_sets.values():
-            traversed.update(ids)
-        # opened edges are disjoint from loop-traversed edges
-        assert not (set(coupled.extra_open_edges) & traversed)
+        base, merged = coupled.base_clusters, coupled.merged_clusters
+        # loop-traversed edges stay open: the coupling only adds edges
+        assert not (base.edges & ~merged.edges).any()
         # field magnitude is sqrt(2 occupation) everywhere
         assert np.allclose(
             np.abs(coupled.field.values), np.sqrt(2.0 * coupled.occupation.values)
         )
-        # base clusters refine merged clusters
-        for members in coupled.base_clusters.members.values():
-            labels = {coupled.merged_clusters.labels[x] for x in members}
-            assert len(labels) == 1
+        # base clusters refine merged clusters: every vertex shares its merged
+        # cluster with the label vertex of its loop cluster
+        assert np.array_equal(merged.labels[base.labels], merged.labels)
         # sign constant on every loop cluster
-        for members in coupled.base_clusters.members.values():
-            signs = {np.sign(coupled.field.values[x]) for x in members}
-            assert len(signs) == 1
+        sign = np.sign(coupled.field.values)
+        assert np.array_equal(sign[base.labels], sign)
         # a traversed edge's endpoints already share a merged cluster
-        for eid in traversed:
+        for eid in np.flatnonzero(base.edges):
             u, v, _ = net.edges[eid]
-            assert coupled.merged_clusters.same_cluster(u, v)
+            assert merged.same_cluster(u, v)
 
 
 def test_verify_gff_law_two_vertex(two_vertex):
     net, gop = two_vertex
-    records = verify_gff_law(net, gop, 20_000, seed=54)
+    fields, violations = collect_coupled_fields(net, gop, 20_000, seed=54)
+    records = field_law_records(net, gop, fields, violations)
     assert all(r.passed for r in records)
     ids = {r.test_id for r in records}
     assert "sign-constant-on-loop-clusters" in ids
     assert any(t.startswith("covariance") for t in ids)
     assert any(t.startswith("sign-correlation") for t in ids)
-    with pytest.raises(ValueError):
-        verify_gff_law(net, gop, 10, seed=54)
 
 
 def test_single_vertex_field_is_normal():
@@ -110,10 +107,8 @@ def test_absent_edge_functional_identity(path3):
     for r in range(hits.size):
         rng = derive_stream(56, r)
         coupled = couple(net, sampler.sample(rng), rng)
-        traversed = set()
-        for ids in coupled.base_clusters.edge_sets.values():
-            traversed.update(ids)
-        hits[r] = 0.0 if (eid in traversed or eid in coupled.extra_open_edges) else 1.0
+        # the merged edges are the traversed ones plus the opened ones
+        hits[r] = 0.0 if coupled.merged_clusters.edges[eid] else 1.0
     lhs, sem_lhs = mc_mean(hits)
 
     rng = derive_stream(57, 0)
@@ -135,5 +130,54 @@ def test_coupling_determinism(two_vertex):
 
     a, b = one(), one()
     assert np.array_equal(a.field.values, b.field.values)
-    assert a.extra_open_edges == b.extra_open_edges
-    assert a.signs == b.signs
+    assert np.array_equal(a.merged_clusters.edges, b.merged_clusters.edges)
+    # the same clusters with the same signs
+    assert np.array_equal(a.merged_clusters.labels, b.merged_clusters.labels)
+    assert np.array_equal(np.sign(a.field.values), np.sign(b.field.values))
+
+
+def _reference_couple(net, soup, rng):
+    """The coupling with per-cluster member and edge-set dicts: union-find over
+    the loop steps, one uniform per untraversed edge in edge-id order, then
+    one sign per merged cluster in ``sorted(members)`` order.  Returns the
+    field and the open-edge mask."""
+    occ = occupation_field(soup).values
+    uf = UnionFind(net.vertex_count)
+    traversed = set()
+    for skeleton, _ in soup.loops:
+        verts = skeleton.vertices
+        for i in range(len(verts)):
+            u, v = verts[i], verts[(i + 1) % len(verts)]
+            uf.union(u, v)
+            traversed.add(net.edge_id(u, v))
+    is_open = np.zeros(net.edge_count, dtype=bool)
+    is_open[sorted(traversed)] = True
+    candidates = (~is_open).nonzero()[0]
+    a, b = net.edge_ends.T
+    probs = cable_open_probability(net.conductances, np.sqrt(occ[a] * occ[b]))
+    for eid in candidates[rng.random(candidates.size) < probs[candidates]]:
+        is_open[eid] = True
+        uf.union(*net.edge_ends[eid].tolist())
+    members = {}
+    for x in range(net.vertex_count):
+        members.setdefault(uf.find(x), []).append(x)
+    labels = sorted(members)
+    signs = dict(zip(labels, (rng.integers(0, 2, size=len(labels)) * 2 - 1).tolist()))
+    values = np.zeros(net.vertex_count)
+    for label, xs in members.items():
+        for x in xs:
+            if net.alive_pos[x] >= 0:
+                values[x] = signs[label] * np.sqrt(2.0 * occ[x])
+    return values, is_open
+
+
+@pytest.mark.parametrize("spec", ["grid:3x3", "path:3"])
+def test_couple_equals_dict_reference(spec):
+    net = parse_network_spec(spec)
+    sampler = LoopSoupSampler(net, compute_green(net), 0.5)
+    for r in range(500):
+        soup = sampler.sample(derive_stream(59, r))
+        coupled = couple(net, soup, derive_stream(60, r))
+        values, is_open = _reference_couple(net, soup, derive_stream(60, r))
+        assert np.array_equal(coupled.field.values, values)
+        assert np.array_equal(coupled.merged_clusters.edges, is_open)

@@ -66,11 +66,11 @@ def test_edge_configuration_structural(two_vertex):
     rng = derive_stream(23, 0)
     disagree = FieldSample(np.array([1.0, -1.0]))
     assert not any(
-        sample_edge_configuration(disagree, net, rng).open[0] for _ in range(2000)
+        sample_edge_configuration(disagree, net, rng)[0] for _ in range(2000)
     )
     agree = FieldSample(np.array([1.0, 1.0]))
     hits = np.array(
-        [sample_edge_configuration(agree, net, rng).open[0] for _ in range(50_000)],
+        [sample_edge_configuration(agree, net, rng)[0] for _ in range(50_000)],
         dtype=float,
     )
     est, sem = mc_mean(hits)
@@ -116,15 +116,15 @@ def test_connectivity_probability_values(two_vertex):
 
 def test_cluster_edges_cases(path3):
     net, _ = path3
-    from loopfield.gff import EdgeConfiguration
-
-    closed = cluster_edges(EdgeConfiguration(np.array([False, False])), net)
+    closed = cluster_edges(np.array([False, False]), net)
     assert closed.cluster_count == 3
-    both = cluster_edges(EdgeConfiguration(np.array([True, True])), net)
+    both = cluster_edges(np.array([True, True]), net)
     assert both.cluster_count == 1
-    first = cluster_edges(EdgeConfiguration(np.array([True, False])), net)
+    first = cluster_edges(np.array([True, False]), net)
     assert first.same_cluster(0, 1) and not first.same_cluster(1, 2)
-    assert first.members == {0: (0, 1), 2: (2,)}
+    # clusters {0, 1} and {2}, labelled by their smallest vertex
+    assert first.labels.tolist() == [0, 0, 2]
+    assert first.edges.tolist() == [True, False]
 
 
 def test_sign_correlation_identity(grid3):

@@ -3,17 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from loopfield.cli import main
 from loopfield.harness import (
     ConfigError,
     EXPERIMENTS,
+    NETWORK_EXPERIMENTS,
     PARAMETERS,
     ExperimentConfig,
     parse_network_spec,
     run_experiment,
 )
-from loopfield.stats import chi_square_uniform_pvalue
 from loopfield.streams import derive_stream, replicate
 
 
@@ -22,9 +23,10 @@ def test_derive_stream_properties():
     b = derive_stream(99, 1).random(4)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, derive_stream(99, 0).random(4))
-    # equidistribution smoke test
+    # equidistribution smoke test: chi-square over 16 equal bins
     u = derive_stream(99, 7).random(200_000)
-    assert chi_square_uniform_pvalue(u, bins=16) > 1e-4
+    counts, _ = np.histogram(u, bins=16, range=(0.0, 1.0))
+    assert sps.chisquare(counts).pvalue > 1e-4
     with pytest.raises(ValueError):
         derive_stream(99, -1)
 
@@ -86,6 +88,8 @@ def test_config_round_trip():
 
 def test_parse_network_spec(tmp_path):
     assert parse_network_spec("two-vertex").vertex_count == 2
+    assert parse_network_spec("two-vertex:k=0.5").killing.tolist() == [0.5, 0.5]
+    assert parse_network_spec("two-vertex:c=5").edges == ((0, 1, 5.0),)
     assert parse_network_spec("path:4:k=2").killing[0] == 2.0
     assert parse_network_spec("grid:2x3").vertex_count == 6
     box = parse_network_spec("box:d=2,n=1,k=1,mode=killed_uniform")
@@ -219,23 +223,57 @@ def test_cli_run_config_and_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+PARAMETER = "error: parameter "
+NETWORK = "error: field 'network': "
+
+
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, message",
     [
-        (["connectivity", "--net", "two-vertex", "--x", "0", "--y", "7"], None),
-        (None, {"experiment": "connectivity", "network": "two-vertex", "parameters": {"y": 1}}),
-        (None, {"experiment": "det-ratio", "network": "two-vertex"}),
-        (None, {"experiment": "det-ratio", "network": "two-vertex", "parameters": {"edges": 5}}),
-        (None, {"experiment": "connectivity", "network": "path:2", "parameters": {"x": None}}),
-        (None, {"experiment": "bridge-check", "parameters": {"lambda_grid": 3}}),
-        (None, {"experiment": "interlacement", "parameters": {"star_replica": 500}}),
-        (None, {"experiment": "interlacement", "parameters": {"d": 3, "n": 5, "k": [[0, 0]]}}),
-        (None, {"experiment": "interlacement", "parameters": {"u": -0.5}}),
-        (None, {"experiment": "isomorphism-check", "parameters": {"u": -0.5}}),
-        (None, {"experiment": "levelset-check", "parameters": {"u": 0.0}}),
-        (None, {"experiment": "occupation-field", "network": "path:3", "parameters": {"alpha": 0}}),
-        (None, {"experiment": "isomorphism-check", "parameters": {"d": 0}}),
-        (None, {"experiment": "levelset-check", "parameters": {"n": -1}}),
+        (["connectivity", "--net", "two-vertex", "--x", "0", "--y", "7"], None, PARAMETER),
+        (
+            None,
+            {"experiment": "connectivity", "network": "two-vertex", "parameters": {"y": 1}},
+            PARAMETER,
+        ),
+        (None, {"experiment": "det-ratio", "network": "two-vertex"}, PARAMETER),
+        (
+            None,
+            {"experiment": "det-ratio", "network": "two-vertex", "parameters": {"edges": 5}},
+            PARAMETER,
+        ),
+        (
+            None,
+            {"experiment": "connectivity", "network": "path:2", "parameters": {"x": None}},
+            PARAMETER,
+        ),
+        (None, {"experiment": "bridge-check", "parameters": {"lambda_grid": 3}}, PARAMETER),
+        (None, {"experiment": "interlacement", "parameters": {"star_replica": 500}}, PARAMETER),
+        (
+            None,
+            {"experiment": "interlacement", "parameters": {"d": 3, "n": 5, "k": [[0, 0]]}},
+            PARAMETER,
+        ),
+        (None, {"experiment": "interlacement", "parameters": {"u": -0.5}}, PARAMETER),
+        (None, {"experiment": "isomorphism-check", "parameters": {"u": -0.5}}, PARAMETER),
+        (None, {"experiment": "levelset-check", "parameters": {"u": 0.0}}, PARAMETER),
+        (
+            None,
+            {"experiment": "occupation-field", "network": "path:3", "parameters": {"alpha": 0}},
+            PARAMETER,
+        ),
+        (None, {"experiment": "isomorphism-check", "parameters": {"d": 0}}, PARAMETER),
+        (None, {"experiment": "levelset-check", "parameters": {"n": -1}}, PARAMETER),
+        (["green", "--net", "path:3:q=2"], None, NETWORK + "unknown option 'q'"),
+        (["green", "--net", "box:d=2,n=2,k=1,zz=1"], None, NETWORK + "unknown option 'zz'"),
+        (["green", "--net", "path:3:c=2:c=9"], None, NETWORK + "option 'c' repeated"),
+        # neither argv nor config: the config file does not exist
+        (None, None, "error: config file "),
+        (None, "5", "error: config must be a JSON object"),
+        (None, {"experiment": "bridge-check", "network": "two-vertex"}, NETWORK),
+        (None, {"experiment": "interlacement", "network": "two-vertex"}, NETWORK),
+        (None, {"experiment": "isomorphism-check", "network": "two-vertex"}, NETWORK),
+        (None, {"experiment": "levelset-check", "network": 7}, NETWORK),
     ],
     ids=[
         "vertex-out-of-range",
@@ -252,16 +290,28 @@ def test_cli_run_config_and_errors(tmp_path, capsys):
         "occupation-zero-alpha",
         "isomorphism-zero-d",
         "levelset-negative-n",
+        "shorthand-unknown-option",
+        "box-shorthand-unknown-option",
+        "shorthand-repeated-option",
+        "config-file-missing",
+        "config-not-an-object",
+        "bridge-check-network-unread",
+        "interlacement-network-unread",
+        "isomorphism-network-unread",
+        "levelset-network-unread",
     ],
 )
-def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config):
-    if config is not None:
-        path = tmp_path / "cfg.json"
+def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "cfg.json"
+    if isinstance(config, str):
+        path.write_text(config)
+    elif config is not None:
         path.write_text(json.dumps({"seed": 1, "replicas": 10, **config}))
+    if argv is None:
         argv = ["run", "--config", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: parameter ")
+    assert len(err) == 1 and err[0].startswith(message)
 
 
 @pytest.mark.parametrize(
@@ -276,7 +326,8 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config):
     ],
 )
 def test_parameter_ranges_name_the_parameter(experiment, name, value):
-    cfg = ExperimentConfig(experiment, seed=1, network="path:3", parameters={name: value})
+    network = "path:3" if experiment in NETWORK_EXPERIMENTS else None
+    cfg = ExperimentConfig(experiment, seed=1, network=network, parameters={name: value})
     with pytest.raises(ConfigError, match=f"parameter '{name}'.*must be positive"):
         run_experiment(cfg)
 

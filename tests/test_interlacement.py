@@ -15,12 +15,11 @@ from loopfield import (
 )
 from loopfield.clusters import UnionFind
 from loopfield.interlacement import (
-    box_window_vertices,
     levelset_field,
     star_excursion_batch,
     trace_occupation_batch,
 )
-from loopfield.network import NetworkError, box_vertex_index
+from loopfield.network import NetworkError, box_vertex_coords, box_vertex_index
 from loopfield.stats import mc_mean, z_score
 from loopfield.streams import derive_stream
 
@@ -175,7 +174,12 @@ def test_star_occupation_mean_is_u():
     star = build_star_graph(2, 5)
     u = 0.8
     occ, _, _ = star_excursion_batch(star, u, 20_000, 66)
-    window = star.network.alive_pos[box_window_vertices(star.network, 2)]
+    # the radius-2 window: every coordinate within 2 of the centre
+    window = [
+        star.network.alive_pos[x]
+        for x in range(star.network.vertex_count)
+        if max(abs(c) for c in box_vertex_coords(2, 5, x)) <= 2
+    ]
     for col in window:
         est, sem = mc_mean(occ[:, col])
         assert abs(z_score(est, u, sem)) < 3.9

@@ -15,6 +15,7 @@ from loopfield import (
     occupation_field,
     path_network,
     sqrt_det_ratio,
+    traversed_edges,
 )
 from loopfield.harness import parse_network_spec
 from loopfield.stats import half_square_cdf, mc_mean, z_score
@@ -104,7 +105,8 @@ def test_loop_clusters_cases():
     )
     part = loop_clusters(chain, net)
     assert part.same_cluster(0, 2) and not part.same_cluster(0, 3)
-    assert part.edge_sets[0] == (0, 1)
+    # the traversed edges attached to cluster 0
+    assert np.flatnonzero(part.edges & (part.labels[net.edge_ends[:, 0]] == 0)).tolist() == [0, 1]
 
     disjoint = LoopSoupSample(
         (
@@ -117,6 +119,22 @@ def test_loop_clusters_cases():
     part = loop_clusters(disjoint, net)
     assert part.cluster_count == 2
     assert not part.same_cluster(1, 2)
+
+
+def test_traversed_edges_flags_closing_step():
+    # triangle 0-1-2 plus a pendant vertex 3 on vertex 2
+    net = Network(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)), np.ones(4))
+    empty = LoopSoupSample((), np.zeros(4), 0.5)
+    assert traversed_edges(empty, net).tolist() == [False] * 4
+    # the closing step 2 -> 0 crosses edge {0, 2}, which no other step does
+    triangle = LoopSoupSample(((LoopSkeleton((0, 1, 2)), np.ones(3)),), np.zeros(4), 0.5)
+    assert traversed_edges(triangle, net).tolist() == [True, True, True, False]
+    # a two-step loop closes back over the edge it took
+    back = LoopSoupSample(((LoopSkeleton((3, 2)), np.ones(2)),), np.zeros(4), 0.5)
+    assert traversed_edges(back, net).tolist() == [False, False, False, True]
+    part = loop_clusters(back, net)
+    assert part.labels.tolist() == [0, 1, 2, 2]
+    assert part.edges.tolist() == [False, False, False, True]
 
 
 def test_occupation_mean_alpha_green(grid3):
