@@ -19,7 +19,6 @@ from .green import (
     compute_green,
     normalized_green,
     sqrt_det_ratio,
-    interpolated_green,
 )
 from .gff import (
     FieldSample,

@@ -20,10 +20,15 @@ import numpy as np
 from .coupling import collect_coupled_fields, field_law_records
 from .gff import sample_gff
 from .green import compute_green, normalized_green, sqrt_det_ratio
-from .harness import ConfigError, ExperimentConfig, parse_network_spec, run_experiment
+from .harness import (
+    ConfigError,
+    ExperimentConfig,
+    check_seed_and_replicas,
+    parse_network_spec,
+    run_experiment,
+)
 from .loopsoup import LoopSoupSampler, loop_clusters, occupation_field
 from .network import NetworkError
-from .stats import Thresholds
 from .streams import replicate
 
 FMT = ".17g"
@@ -50,7 +55,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def _add_common(sub, replicas_default=100_000):
-    sub.add_argument("--seed", type=int, default=1, help="64-bit master seed")
+    sub.add_argument("--seed", type=int, default=1, help="master seed, 0..2^64 - 1")
     sub.add_argument("--replicas", type=int, default=replicas_default)
     sub.add_argument("--out", default=None, help="output path (CSV; report JSON alongside)")
 
@@ -124,7 +129,9 @@ def main(argv=None) -> int:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--u", type=float, default=0.25)
-    p.add_argument("--k", default="0,0,0", help="vertex coordinates, e.g. '0,0,0;1,0,0'")
+    p.add_argument(
+        "--k", default=None, help="vertex coordinates, e.g. '0,0,0;1,0,0' (default: the origin)"
+    )
     _add_common(p, replicas_default=20_000)
 
     p = subs.add_parser("isomorphism-check", help="occupation-plus-field identity on the star graph")
@@ -152,6 +159,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
+    # the sampling subcommands build no ExperimentConfig; check them by its rule
+    if "seed" in args:
+        check_seed_and_replicas(args.seed, args.replicas)
 
     if cmd == "green":
         net = parse_network_spec(args.net)
@@ -216,7 +226,7 @@ def _dispatch(args) -> int:
             phi[net.alive] = values
             lines.append(f"{r}," + ",".join(_fmt(v) for v in phi))
         _emit(lines, args.out)
-        records = field_law_records(net, gop, fields, violations, Thresholds())
+        records = field_law_records(net, gop, fields, violations)
         doc = json.dumps([rec.to_dict() for rec in records], indent=2)
         if args.out:
             Path(args.out).with_suffix(".verify.json").write_text(doc + "\n")
@@ -268,12 +278,12 @@ def _dispatch(args) -> int:
         return 0 if report.all_passed else 1
 
     if cmd == "interlacement":
-        coords = [[int(c) for c in chunk.split(",")] for chunk in args.k.split(";") if chunk]
-        return _run_and_report(
-            args,
-            "interlacement",
-            parameters={"d": args.d, "n": args.n, "u": args.u, "k": coords},
-        )
+        parameters = {"d": args.d, "n": args.n, "u": args.u}
+        if args.k is not None:
+            parameters["k"] = [
+                [int(c) for c in chunk.split(",")] for chunk in args.k.split(";") if chunk
+            ]
+        return _run_and_report(args, "interlacement", parameters=parameters)
 
     if cmd == "isomorphism-check":
         return _run_and_report(

@@ -30,7 +30,7 @@ from .loopsoup import (
     occupation_field,
 )
 from .network import Network
-from .stats import TestRecord, Thresholds, mc_mean, normal_cdf, ks_pvalue, z_score
+from .stats import TestRecord, ks_record, mc_mean, normal_cdf, z_record
 from .streams import replicate
 
 __all__ = [
@@ -122,7 +122,6 @@ def field_law_records(
     gop: GreenOperator,
     fields: np.ndarray,
     violations: int,
-    thresholds: Thresholds | None = None,
 ) -> list[TestRecord]:
     """Statistical records for a matrix of coupled fields.
 
@@ -131,7 +130,6 @@ def field_law_records(
     against G(x, y) and ``(2/pi) arcsin(g(x, y))``; sign constancy on loop
     clusters is exact and must have zero violations.
     """
-    th = thresholds or Thresholds()
     alive = net.alive
     records = [
         TestRecord(
@@ -144,47 +142,34 @@ def field_law_records(
     ]
     for i, x in enumerate(alive):
         sigma = math.sqrt(gop.entry(x, x))
-        p = ks_pvalue(fields[:, i], lambda t, s=sigma: normal_cdf(t, s))
         records.append(
-            TestRecord(
-                test_id=f"marginal-normal-v{x}",
-                formula="phi_x ~ Normal(0, G(x,x))",
-                passed=p > th.ks_pvalue,
+            ks_record(
+                f"marginal-normal-v{x}",
+                "phi_x ~ Normal(0, G(x,x))",
+                fields[:, i],
+                lambda t, s=sigma: normal_cdf(t, s),
                 exact=sigma**2,
                 estimate=float(fields[:, i].var(ddof=1)),
-                p_value=p,
             )
         )
     for i in range(alive.size):
         for j in range(i, alive.size):
             x, y = int(alive[i]), int(alive[j])
-            target = gop.entry(x, y)
-            est, sem = mc_mean(fields[:, i] * fields[:, j])
-            z = z_score(est, target, sem)
             records.append(
-                TestRecord(
-                    test_id=f"covariance-v{x}-v{y}",
-                    formula="E[phi_x phi_y] = G(x,y)",
-                    passed=abs(z) < th.z_limit,
-                    exact=target,
-                    estimate=est,
-                    stderr=sem,
-                    z=z,
+                z_record(
+                    f"covariance-v{x}-v{y}",
+                    "E[phi_x phi_y] = G(x,y)",
+                    gop.entry(x, y),
+                    *mc_mean(fields[:, i] * fields[:, j]),
                 )
             )
             if j > i:
-                target_s = (2.0 / math.pi) * math.asin(normalized_green(gop, x, y))
-                est_s, sem_s = mc_mean(np.sign(fields[:, i]) * np.sign(fields[:, j]))
-                z_s = z_score(est_s, target_s, sem_s)
                 records.append(
-                    TestRecord(
-                        test_id=f"sign-correlation-v{x}-v{y}",
-                        formula="E[sign(phi_x) sign(phi_y)] = (2/pi) arcsin(g(x,y))",
-                        passed=abs(z_s) < th.z_limit,
-                        exact=target_s,
-                        estimate=est_s,
-                        stderr=sem_s,
-                        z=z_s,
+                    z_record(
+                        f"sign-correlation-v{x}-v{y}",
+                        "E[sign(phi_x) sign(phi_y)] = (2/pi) arcsin(g(x,y))",
+                        (2.0 / math.pi) * math.asin(normalized_green(gop, x, y)),
+                        *mc_mean(np.sign(fields[:, i]) * np.sign(fields[:, j])),
                     )
                 )
     return records

@@ -33,7 +33,6 @@ __all__ = [
     "compute_green",
     "normalized_green",
     "sqrt_det_ratio",
-    "interpolated_green",
 ]
 
 # Fail loudly on near-recurrent inputs: smallest Cholesky pivot must exceed
@@ -154,39 +153,3 @@ def sqrt_det_ratio(net: Network, removed_edges) -> float:
     log_det_g = compute_green(net).log_det_g
     log_det_g_removed = compute_green(modified_network(net, removed)).log_det_g
     return math.exp(0.5 * (log_det_g_removed - log_det_g))
-
-
-def interpolated_green(
-    gop: GreenOperator,
-    net: Network,
-    p1: tuple[int, float],
-    p2: tuple[int, float],
-) -> float:
-    """Green value between two points in the interior of cable edges.
-
-    A point is ``(edge_id, r)`` with ``r`` the distance from the edge's first
-    endpoint, ``0 <= r <= rho(e)``.  Off the diagonal of edges the value is
-    the bilinear interpolation of the four vertex values; when both points
-    lie on the same edge a tent correction ``2 (r1 ^ r2 - r1 r2 / rho)`` is
-    added, which is the variance contributed by the bridge over that cable.
-    """
-    e1, r1 = int(p1[0]), float(p1[1])
-    e2, r2 = int(p2[0]), float(p2[1])
-    rho1 = net.rho(e1)
-    rho2 = net.rho(e2)
-    if not (0.0 <= r1 <= rho1):
-        raise ValueError(f"point distance {r1} outside [0, {rho1}] on edge {e1}")
-    if not (0.0 <= r2 <= rho2):
-        raise ValueError(f"point distance {r2} outside [0, {rho2}] on edge {e2}")
-    x1, y1, _ = net.edges[e1]
-    x2, y2, _ = net.edges[e2]
-
-    value = (
-        (rho1 - r1) * (rho2 - r2) * gop.entry(x1, x2)
-        + r1 * r2 * gop.entry(y1, y2)
-        + r1 * (rho2 - r2) * gop.entry(y1, x2)
-        + (rho1 - r1) * r2 * gop.entry(x1, y2)
-    ) / (rho1 * rho2)
-    if e1 == e2:
-        value += 2.0 * (min(r1, r2) - r1 * r2 / rho1)
-    return float(value)

@@ -40,21 +40,13 @@ from .network import (
     path_network,
     two_vertex_network,
 )
-from .stats import (
-    DEFAULT_KS_PVALUE,
-    DEFAULT_Z_LIMIT,
-    TestRecord,
-    Thresholds,
-    half_square_cdf,
-    ks_pvalue,
-    mc_mean,
-    z_score,
-)
+from .stats import TestRecord, half_square_cdf, ks_record, mc_mean, z_record
 from .streams import derive_stream, replicate
 
 __all__ = [
     "ExperimentConfig",
     "Report",
+    "check_seed_and_replicas",
     "run_experiment",
     "parse_network_spec",
     "EXPERIMENTS",
@@ -64,6 +56,20 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Configuration document does not validate."""
+
+
+def check_seed_and_replicas(seed, replicas) -> tuple[int, int]:
+    """``(seed, replicas)`` as integers; a seed outside 0..2^64 - 1 or fewer
+    than one replica is a ConfigError."""
+    try:
+        seed, replicas = int(seed), int(replicas)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"fields 'seed' and 'replicas': must be integers ({exc})") from exc
+    if replicas < 1:
+        raise ConfigError("field 'replicas': must be >= 1")
+    if not (0 <= seed < 2**64):
+        raise ConfigError("field 'seed': must be a 64-bit value")
+    return seed, replicas
 
 
 @dataclass(frozen=True)
@@ -78,16 +84,10 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        try:
-            # the echoed config holds the integers the experiment runs with
-            object.__setattr__(self, "seed", int(self.seed))
-            object.__setattr__(self, "replicas", int(self.replicas))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"fields 'seed' and 'replicas': must be integers ({exc})") from exc
-        if self.replicas < 1:
-            raise ConfigError("field 'replicas': must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError("field 'seed': must be a 64-bit value")
+        # the echoed config holds the integers the experiment runs with
+        seed, replicas = check_seed_and_replicas(self.seed, self.replicas)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "replicas", replicas)
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"field 'experiment': unknown id {self.experiment!r}; "
@@ -288,13 +288,6 @@ def _positive(convert):
     return checked
 
 
-def _thresholds(cfg: ExperimentConfig) -> Thresholds:
-    return Thresholds(
-        z_limit=_param(cfg, "z_limit", float, DEFAULT_Z_LIMIT),
-        ks_pvalue=_param(cfg, "ks_pvalue", float, DEFAULT_KS_PVALUE),
-    )
-
-
 def _vertex(cfg: ExperimentConfig, net: Network, name: str) -> int:
     x = _param(cfg, name, int)
     if not 0 <= x < net.vertex_count:
@@ -309,7 +302,6 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
     x = _vertex(cfg, net, "x")
     y = _vertex(cfg, net, "y")
     gop = compute_green(net)
-    th = _thresholds(cfg)
     exact = connectivity_probability(gop, x, y)
 
     def one(_i, rng):
@@ -318,17 +310,12 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
         return 1.0 if cluster_edges(config, net).same_cluster(x, y) else 0.0
 
     hits = np.array(replicate(cfg.replicas, cfg.seed, one))
-    est, sem = mc_mean(hits)
-    z = z_score(est, exact, sem)
     return [
-        TestRecord(
-            test_id=f"connectivity-v{x}-v{y}",
-            formula="P(x <-> y) = (2/pi) arcsin(g(x,y))",
-            passed=abs(z) < th.z_limit,
-            exact=exact,
-            estimate=est,
-            stderr=sem,
-            z=z,
+        z_record(
+            f"connectivity-v{x}-v{y}",
+            "P(x <-> y) = (2/pi) arcsin(g(x,y))",
+            exact,
+            *mc_mean(hits),
         )
     ]
 
@@ -337,7 +324,6 @@ def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
     edges = _param(cfg, "edges", lambda v: [(int(a), int(b)) for a, b in v])
     gop = compute_green(net)
-    th = _thresholds(cfg)
     edge_ids = sorted(net.edge_id(u, v) for u, v in edges)
     exact = sqrt_det_ratio(net, edge_ids)
     sampler = LoopSoupSampler(net, gop, 0.5)
@@ -346,17 +332,12 @@ def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
         return 0.0 if traversed_edges(sampler.sample(rng), net)[edge_ids].any() else 1.0
 
     hits = np.array(replicate(cfg.replicas, cfg.seed, one))
-    est, sem = mc_mean(hits)
-    z = z_score(est, exact, sem)
     return [
-        TestRecord(
-            test_id="edge-avoidance",
-            formula="P(no loop crosses removed edges) = sqrt(det G_removed / det G)",
-            passed=abs(z) < th.z_limit,
-            exact=exact,
-            estimate=est,
-            stderr=sem,
-            z=z,
+        z_record(
+            "edge-avoidance",
+            "P(no loop crosses removed edges) = sqrt(det G_removed / det G)",
+            exact,
+            *mc_mean(hits),
         )
     ]
 
@@ -364,15 +345,13 @@ def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
 def _exp_coupling_law(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
     gop = compute_green(net)
-    th = _thresholds(cfg)
     fields, violations = collect_coupled_fields(net, gop, cfg.replicas, cfg.seed)
-    return field_law_records(net, gop, fields, violations, th)
+    return field_law_records(net, gop, fields, violations)
 
 
 def _exp_occupation(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
     gop = compute_green(net)
-    th = _thresholds(cfg)
     alpha = _param(cfg, "alpha", _positive(float), 0.5)
     sampler = LoopSoupSampler(net, gop, alpha)
     alive = net.alive
@@ -382,61 +361,49 @@ def _exp_occupation(cfg: ExperimentConfig) -> list[TestRecord]:
 
     occ = np.array(replicate(cfg.replicas, cfg.seed, one))
 
-    records = []
-    for i, x in enumerate(alive):
-        target = alpha * gop.entry(x, x)
-        est, sem = mc_mean(occ[:, i])
-        z = z_score(est, target, sem)
-        records.append(
-            TestRecord(
-                test_id=f"occupation-mean-v{x}",
-                formula="E[L^x] = alpha G(x,x)",
-                passed=abs(z) < th.z_limit,
-                exact=target,
-                estimate=est,
-                stderr=sem,
-                z=z,
-            )
+    records = [
+        z_record(
+            f"occupation-mean-v{x}",
+            "E[L^x] = alpha G(x,x)",
+            alpha * gop.entry(x, x),
+            *mc_mean(occ[:, i]),
         )
+        for i, x in enumerate(alive)
+    ]
     if alpha == 0.5:
         for i, x in enumerate(alive):
             var = gop.entry(x, x)
-            p = ks_pvalue(occ[:, i], lambda t, v=var: half_square_cdf(t, v))
             records.append(
-                TestRecord(
-                    test_id=f"occupation-half-square-v{x}",
-                    formula="L^x =law= phi_x^2 / 2",
-                    passed=p > th.ks_pvalue,
-                    p_value=p,
+                ks_record(
+                    f"occupation-half-square-v{x}",
+                    "L^x =law= phi_x^2 / 2",
+                    occ[:, i],
+                    lambda t, v=var: half_square_cdf(t, v),
                 )
             )
         for i in range(alive.size):
             for j in range(i + 1, alive.size):
                 x, y = int(alive[i]), int(alive[j])
                 gxx, gyy, gxy = gop.entry(x, x), gop.entry(y, y), gop.entry(x, y)
-                target = (gxx * gyy + 2.0 * gxy**2) / 4.0
-                est, sem = mc_mean(occ[:, i] * occ[:, j])
-                z = z_score(est, target, sem)
                 records.append(
-                    TestRecord(
-                        test_id=f"occupation-cross-v{x}-v{y}",
-                        formula="E[L^x L^y] = (G(x,x)G(y,y) + 2 G(x,y)^2) / 4",
-                        passed=abs(z) < th.z_limit,
-                        exact=target,
-                        estimate=est,
-                        stderr=sem,
-                        z=z,
+                    z_record(
+                        f"occupation-cross-v{x}-v{y}",
+                        "E[L^x L^y] = (G(x,x)G(y,y) + 2 G(x,y)^2) / 4",
+                        (gxx * gyy + 2.0 * gxy**2) / 4.0,
+                        *mc_mean(occ[:, i] * occ[:, j]),
                     )
                 )
     return records
 
 
+# relative error below which the bridge quadrature matches its closed form
+QUAD_REL_ERR = 1e-8
+
+
 def _exp_bridge(cfg: ExperimentConfig) -> list[TestRecord]:
-    th = _thresholds(cfg)
     grid = _param(
         cfg, "lambda_grid", lambda v: [float(t) for t in v], [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0]
     )
-    quad_tol = _param(cfg, "quad_rel_err", float, 1e-8)
     records = []
     for idx, lam in enumerate(grid):
         # realize lambda with T = 1/2 and l1 = l2 = sqrt(lam)
@@ -448,31 +415,25 @@ def _exp_bridge(cfg: ExperimentConfig) -> list[TestRecord]:
             TestRecord(
                 test_id=f"bridge-quadrature-lambda-{lam:g}",
                 formula="integral exp(-lam/s - s) ds/sqrt(s) = sqrt(pi) exp(-2 sqrt(lam))",
-                passed=rel < quad_tol,
+                passed=rel < QUAD_REL_ERR,
                 exact=closed,
                 estimate=quad,
                 stderr=rel,
             )
         )
         rng = derive_stream(cfg.seed, idx)
-        est, sem = bridges.three_process_zero_mc(problem, cfg.replicas, rng)
-        z = z_score(est, closed, sem)
         records.append(
-            TestRecord(
-                test_id=f"bridge-first-vs-last-zero-lambda-{lam:g}",
-                formula="P(t1 <= t2) = exp(-2 sqrt(lam))",
-                passed=abs(z) < th.z_limit,
-                exact=closed,
-                estimate=est,
-                stderr=sem,
-                z=z,
+            z_record(
+                f"bridge-first-vs-last-zero-lambda-{lam:g}",
+                "P(t1 <= t2) = exp(-2 sqrt(lam))",
+                closed,
+                *bridges.three_process_zero_mc(problem, cfg.replicas, rng),
             )
         )
     return records
 
 
 def _exp_interlacement(cfg: ExperimentConfig) -> list[TestRecord]:
-    th = _thresholds(cfg)
     d = _param(cfg, "d", _positive(int), 3)
     n = _param(cfg, "n", _positive(int), 6)
     u = _param(cfg, "u", _positive(float), 0.25)
@@ -504,87 +465,46 @@ def _exp_interlacement(cfg: ExperimentConfig) -> list[TestRecord]:
 
     for j, x in enumerate(cap.vertices):
         est, sem = mc_mean(occ_trace[:, j])
-        z = z_score(est, u, sem)
-        records.append(
-            TestRecord(
-                test_id=f"occupation-mean-u-v{x}",
-                formula="E[L^x(I^u)] = u",
-                passed=abs(z) < th.z_limit,
-                exact=u,
-                estimate=est,
-                stderr=sem,
-                z=z,
-            )
-        )
+        records.append(z_record(f"occupation-mean-u-v{x}", "E[L^x(I^u)] = u", u, est, sem))
 
     target_void = math.exp(-u * cap.capacity)
-    void_star = (~hit_star_k.any(axis=1)).astype(float)
-    est_star, sem_star = mc_mean(void_star)
-    z = z_score(est_star, target_void, sem_star)
-    records.append(
-        TestRecord(
-            test_id="vacant-probability-star",
-            formula="P(K in V^u) = exp(-u cap(K))",
-            passed=abs(z) < th.z_limit,
-            exact=target_void,
-            estimate=est_star,
-            stderr=sem_star,
-            z=z,
-        )
-    )
-    void_trace = (~visited_trace.any(axis=1)).astype(float)
-    est_tr, sem_tr = mc_mean(void_trace)
-    z = z_score(est_tr, target_void, sem_tr)
-    records.append(
-        TestRecord(
-            test_id="vacant-probability-trace",
-            formula="P(K in V^u) = exp(-u cap(K))",
-            passed=abs(z) < th.z_limit,
-            exact=target_void,
-            estimate=est_tr,
-            stderr=sem_tr,
-            z=z,
-        )
-    )
+    vacant = "P(K in V^u) = exp(-u cap(K))"
+    est_star, sem_star = mc_mean((~hit_star_k.any(axis=1)).astype(float))
+    est_tr, sem_tr = mc_mean((~visited_trace.any(axis=1)).astype(float))
+    records.append(z_record("vacant-probability-star", vacant, target_void, est_star, sem_star))
+    records.append(z_record("vacant-probability-trace", vacant, target_void, est_tr, sem_tr))
 
     # the two finite-volume samplers must agree with each other
-    z = z_score(est_star, est_tr, math.hypot(sem_star, sem_tr))
     records.append(
-        TestRecord(
-            test_id="sampler-agreement-vacancy",
-            formula="trace and star samplers give the same P(K vacant)",
-            passed=abs(z) < th.z_limit,
-            exact=est_tr,
-            estimate=est_star,
-            stderr=math.hypot(sem_star, sem_tr),
-            z=z,
+        z_record(
+            "sampler-agreement-vacancy",
+            "trace and star samplers give the same P(K vacant)",
+            est_tr,
+            est_star,
+            math.hypot(sem_star, sem_tr),
         )
     )
     for j, x in enumerate(cap.vertices):
         m_star, s_star = mc_mean(occ_star[:, j])
         m_tr, s_tr = mc_mean(occ_trace[:, j])
-        z = z_score(m_star, m_tr, math.hypot(s_star, s_tr))
         records.append(
-            TestRecord(
-                test_id=f"sampler-agreement-occupation-v{x}",
-                formula="trace and star samplers give the same E[L^x]",
-                passed=abs(z) < th.z_limit,
-                exact=m_tr,
-                estimate=m_star,
-                stderr=math.hypot(s_star, s_tr),
-                z=z,
+            z_record(
+                f"sampler-agreement-occupation-v{x}",
+                "trace and star samplers give the same E[L^x]",
+                m_tr,
+                m_star,
+                math.hypot(s_star, s_tr),
             )
         )
     return records
 
 
 def _exp_isomorphism(cfg: ExperimentConfig) -> list[TestRecord]:
-    th = _thresholds(cfg)
     d = _param(cfg, "d", _positive(int), 2)
     n = _param(cfg, "n", _positive(int), 5)
     u = _param(cfg, "u", _positive(float), 0.5)
     star = build_star_graph(d, n)
-    return isomorphism_check(star, u, cfg.replicas, cfg.seed, th)
+    return isomorphism_check(star, u, cfg.replicas, cfg.seed)
 
 
 def _exp_levelset(cfg: ExperimentConfig) -> list[TestRecord]:
@@ -611,13 +531,13 @@ NETWORK_EXPERIMENTS = {"connectivity", "det-ratio", "coupling-law", "occupation-
 
 # the parameter names each experiment reads; any other name is rejected
 PARAMETERS = {
-    "connectivity": {"x", "y", "z_limit"},
-    "det-ratio": {"edges", "z_limit"},
-    "coupling-law": {"z_limit", "ks_pvalue"},
-    "occupation-field": {"alpha", "z_limit", "ks_pvalue"},
-    "bridge-check": {"lambda_grid", "quad_rel_err", "z_limit"},
-    "interlacement": {"d", "n", "u", "k", "star_replicas", "z_limit"},
-    "isomorphism-check": {"d", "n", "u", "z_limit"},
+    "connectivity": {"x", "y"},
+    "det-ratio": {"edges"},
+    "coupling-law": set(),
+    "occupation-field": {"alpha"},
+    "bridge-check": {"lambda_grid"},
+    "interlacement": {"d", "n", "u", "k", "star_replicas"},
+    "isomorphism-check": {"d", "n", "u"},
     "levelset-check": {"d", "n", "u"},
 }
 

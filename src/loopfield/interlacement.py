@@ -27,7 +27,7 @@ from .clusters import build_partition
 from .gff import cable_open_probability
 from .green import compute_green
 from .network import Network, NetworkError, box_vertex_coords, box_vertex_index, build_box_network
-from .stats import TestRecord, Thresholds, mc_mean, z_score
+from .stats import TestRecord, mc_mean, z_record
 from .streams import derive_stream
 
 __all__ = [
@@ -297,20 +297,13 @@ def star_excursion_batch(
 # -- verification reports -----------------------------------------------------
 
 
-def isomorphism_check(
-    star: StarGraph,
-    u: float,
-    replicas: int,
-    seed: int,
-    thresholds: Thresholds | None = None,
-) -> list[TestRecord]:
+def isomorphism_check(star: StarGraph, u: float, replicas: int, seed: int) -> list[TestRecord]:
     """Compare moments of ``L + phi'^2 / 2`` against ``(phi - sqrt(2u))^2 / 2``.
 
     The field is the free field of the box killed at the identified boundary;
     the occupation comes from the star excursions run to local time u.  First
     and second moments are compared per vertex with two-sample z scores.
     """
-    th = thresholds or Thresholds()
     net = star.network
     gop = compute_green(net)
     occ, _, _ = star_excursion_batch(star, u, replicas, seed)
@@ -329,17 +322,13 @@ def isomorphism_check(
         for i, x in enumerate(net.alive):
             ma, sa = mc_mean(a[:, i])
             mb, sb = mc_mean(b[:, i])
-            sem = math.hypot(sa, sb)
-            z = z_score(ma, mb, sem)
             records.append(
-                TestRecord(
-                    test_id=f"isomorphism-{name}-v{x}",
-                    formula="L_tau_u + phi'^2/2 =law= (phi - sqrt(2u))^2/2",
-                    passed=abs(z) < th.z_limit,
-                    exact=mb,
-                    estimate=ma,
-                    stderr=sem,
-                    z=z,
+                z_record(
+                    f"isomorphism-{name}-v{x}",
+                    "L_tau_u + phi'^2/2 =law= (phi - sqrt(2u))^2/2",
+                    mb,
+                    ma,
+                    math.hypot(sa, sb),
                 )
             )
     return records

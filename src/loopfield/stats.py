@@ -1,8 +1,10 @@
 """Statistical checks shared by the verification experiments.
 
-Defaults: a two-sided z threshold of 3.9 (false-alarm rate about 1e-4) and a
-Kolmogorov-Smirnov p-value floor of 1e-3.  Both are meant to be stable in
-repeated runs at 1e4 to 1e5 replicas and can be overridden per experiment.
+A z-record passes when its two-sided z score is below ``Z_LIMIT`` = 3.9 in
+absolute value (false-alarm rate about 1e-4); a Kolmogorov-Smirnov record
+passes when its p-value exceeds ``KS_PVALUE`` = 1e-3.  Both are meant to be
+stable in repeated runs at 1e4 to 1e5 replicas.  ``z_record`` and
+``ks_record`` are the only places that apply them.
 """
 
 from __future__ import annotations
@@ -15,23 +17,20 @@ from scipy import stats as sps
 from scipy.special import erf
 
 __all__ = [
-    "Thresholds",
+    "Z_LIMIT",
+    "KS_PVALUE",
     "TestRecord",
     "mc_mean",
     "z_score",
     "ks_pvalue",
+    "z_record",
+    "ks_record",
     "normal_cdf",
     "half_square_cdf",
 ]
 
-DEFAULT_Z_LIMIT = 3.9
-DEFAULT_KS_PVALUE = 1e-3
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    z_limit: float = DEFAULT_Z_LIMIT
-    ks_pvalue: float = DEFAULT_KS_PVALUE
+Z_LIMIT = 3.9
+KS_PVALUE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,23 @@ def z_score(estimate: float, target: float, sem: float) -> float:
 def ks_pvalue(samples: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov p-value of samples against a cdf callable."""
     return float(sps.kstest(np.asarray(samples, dtype=float), cdf).pvalue)
+
+
+def z_record(
+    test_id: str, formula: str, exact: float, estimate: float, stderr: float
+) -> TestRecord:
+    """Record of ``estimate`` against ``exact``; passes when ``|z| < Z_LIMIT``
+    (an infinite or NaN z fails)."""
+    z = z_score(estimate, exact, stderr)
+    return TestRecord(test_id, formula, abs(z) < Z_LIMIT, exact, estimate, stderr, z)
+
+
+def ks_record(test_id: str, formula: str, samples: np.ndarray, cdf, **values) -> TestRecord:
+    """Kolmogorov-Smirnov record of ``samples`` against ``cdf``; passes when
+    ``p > KS_PVALUE``.  ``values`` sets other record fields (``exact``,
+    ``estimate``)."""
+    p = ks_pvalue(samples, cdf)
+    return TestRecord(test_id, formula, passed=p > KS_PVALUE, p_value=p, **values)
 
 
 def normal_cdf(x, sigma: float):

@@ -96,7 +96,7 @@ def test_criterion_4_occupation_half_square():
 def test_criterion_5_bridge_integral():
     cfg = ExperimentConfig(
         "bridge-check", seed=207, replicas=100_000,
-        parameters={"lambda_grid": [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0], "quad_rel_err": 1e-8},
+        parameters={"lambda_grid": [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0]},
     )
     report = run_experiment(cfg)
     quad = [r for r in report.records if "quadrature" in r.test_id]

@@ -10,7 +10,6 @@ from loopfield import (
     RecurrentNetworkError,
     compute_green,
     grid_network,
-    interpolated_green,
     modified_network,
     normalized_green,
     path_network,
@@ -193,56 +192,3 @@ def test_compute_green_peak_memory():
         tracemalloc.stop()
     assert gop.matrix_a.shape[0] == 3481
     assert peak < 32 * 2**20
-
-
-def test_interpolation_endpoint_recovery(path3):
-    net, gop = path3
-    # r = 0 on both edges recovers the vertex Green values exactly
-    assert interpolated_green(gop, net, (0, 0.0), (1, 0.0)) == pytest.approx(
-        gop.entry(0, 1), abs=1e-15
-    )
-    rho = net.rho(0)
-    assert interpolated_green(gop, net, (0, rho), (1, 0.0)) == pytest.approx(
-        gop.entry(1, 1), abs=1e-12
-    )
-
-
-def test_interpolation_same_edge_midpoint(two_vertex):
-    net, gop = two_vertex
-    rho = net.rho(0)
-    value = interpolated_green(gop, net, (0, rho / 2), (0, rho / 2))
-    assert value == pytest.approx(0.75, abs=1e-12)
-
-
-def test_interpolation_distinct_edges_pure_bilinear(path3):
-    net, gop = path3
-    rho = net.rho(0)
-    r1, r2 = 0.3 * rho, 0.6 * rho
-    value = interpolated_green(gop, net, (0, r1), (1, r2))
-    expect = (
-        (rho - r1) * (rho - r2) * gop.entry(0, 1)
-        + r1 * r2 * gop.entry(1, 2)
-        + r1 * (rho - r2) * gop.entry(1, 1)
-        + (rho - r1) * r2 * gop.entry(0, 2)
-    ) / rho**2
-    assert value == pytest.approx(expect, abs=1e-14)
-
-
-def test_interpolation_affine_off_diagonal_and_continuous(path3):
-    net, gop = path3
-    rho = net.rho(0)
-    fixed = (1, 0.25 * rho)
-    vals = [interpolated_green(gop, net, (0, t * rho), fixed) for t in (0.2, 0.5, 0.8)]
-    assert vals[1] == pytest.approx(0.5 * (vals[0] + vals[2]), abs=1e-12)
-    # continuity across the shared vertex 1 = end of edge 0 = start of edge 1
-    left = interpolated_green(gop, net, (0, rho), fixed)
-    right = interpolated_green(gop, net, (1, 0.0), fixed)
-    assert abs(left - right) < 1e-12
-
-
-def test_interpolation_range_check(two_vertex):
-    net, gop = two_vertex
-    with pytest.raises(ValueError):
-        interpolated_green(gop, net, (0, -0.01), (0, 0.1))
-    with pytest.raises(ValueError):
-        interpolated_green(gop, net, (0, 0.1), (0, net.rho(0) + 0.01))

@@ -15,6 +15,7 @@ from loopfield.harness import (
     parse_network_spec,
     run_experiment,
 )
+from loopfield.network import box_vertex_index
 from loopfield.streams import derive_stream, replicate
 
 
@@ -225,6 +226,8 @@ def test_cli_run_config_and_errors(tmp_path, capsys):
 
 PARAMETER = "error: parameter "
 NETWORK = "error: field 'network': "
+REPLICAS = "error: field 'replicas': "
+SEED = "error: field 'seed': "
 
 
 @pytest.mark.parametrize(
@@ -274,6 +277,23 @@ NETWORK = "error: field 'network': "
         (None, {"experiment": "interlacement", "network": "two-vertex"}, NETWORK),
         (None, {"experiment": "isomorphism-check", "network": "two-vertex"}, NETWORK),
         (None, {"experiment": "levelset-check", "network": 7}, NETWORK),
+        (["sample-gff", "--net", "two-vertex", "--replicas", "0"], None, REPLICAS),
+        (["sample-loops", "--net", "two-vertex", "--replicas", "-3"], None, REPLICAS),
+        (["couple", "--net", "two-vertex", "--replicas", "0"], None, REPLICAS),
+        (["sample-gff", "--net", "two-vertex", "--seed", "-1"], None, SEED),
+        (["sample-loops", "--net", "two-vertex", "--seed", str(2**64)], None, SEED),
+        (["couple", "--net", "two-vertex", "--seed", "-1"], None, SEED),
+        (
+            None,
+            {
+                "experiment": "connectivity",
+                "network": "two-vertex",
+                "parameters": {"x": 0, "y": 1, "z_limit": 5.0},
+            },
+            PARAMETER + "'z_limit'",
+        ),
+        (None, {"experiment": "coupling-law", "parameters": {"ks_pvalue": 0.1}}, PARAMETER),
+        (None, {"experiment": "bridge-check", "parameters": {"quad_rel_err": 1e-8}}, PARAMETER),
     ],
     ids=[
         "vertex-out-of-range",
@@ -299,6 +319,15 @@ NETWORK = "error: field 'network': "
         "interlacement-network-unread",
         "isomorphism-network-unread",
         "levelset-network-unread",
+        "sample-gff-zero-replicas",
+        "sample-loops-negative-replicas",
+        "couple-zero-replicas",
+        "sample-gff-negative-seed",
+        "sample-loops-seed-2^64",
+        "couple-negative-seed",
+        "connectivity-z_limit",
+        "coupling-law-ks_pvalue",
+        "bridge-check-quad_rel_err",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config, message):
@@ -379,3 +408,14 @@ def test_cli_sampling_commands(tmp_path, capsys):
     assert (tmp_path / "fields.csv").exists()
     verify = json.loads((tmp_path / "fields.verify.json").read_text())
     assert all(rec["pass"] for rec in verify)
+
+
+def test_cli_interlacement_default_k_is_the_origin(tmp_path, capsys):
+    # the default K is the origin in --d dimensions, not a fixed 3-d point
+    out = tmp_path / "inter.csv"
+    argv = ["interlacement", "--d", "2", "--n", "4", "--replicas", "400", "--out", str(out)]
+    assert main(argv) in (0, 1)
+    report = json.loads(out.with_suffix(".json").read_text())
+    origin = box_vertex_index(2, 4, [0, 0])
+    assert report["config"]["parameters"] == {"d": 2, "n": 4, "u": 0.25}
+    assert f"occupation-mean-u-v{origin}" in [r["test"] for r in report["records"]]
