@@ -13,8 +13,9 @@ times have explicit densities, and the resulting probability is
     (1 / sqrt(pi)) * integral_0^inf exp(-lambda / s - s) ds / sqrt(s)
         = exp(-2 sqrt(lambda)),        lambda = l1 l2 / (2T)^2.
 
-No path is ever simulated here; everything is densities, quadrature and
-elementary sampling.
+No path is ever simulated here.  The probability is checked by quadrature,
+and by Monte Carlo from exact draws of both zero times: the first zero is a
+transformed shifted exponential, the last zero a transformed half-normal.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import fixed_quad, quad
-from scipy.special import erfinv
+from scipy.integrate import quad
 
 from .stats import mc_mean
 
@@ -123,57 +123,22 @@ def last_zero_density(t, l2: float, T: float):
 
 
 class LastZeroSampler:
-    """Inverse-CDF sampler for the last-zero law on a cached grid.
+    """Exact sampler for the last-zero law on (0, T).
 
-    The time axis is reparametrized as ``t = T sin^2(theta)``, under which the
-    density becomes smooth on (0, pi/2); knots are placed by an equal-mass
-    heuristic and the CDF at the knots is accumulated by Gauss-Legendre
-    quadrature per interval.  Construction fails if the accumulated mass does
-    not reach 1 within tolerance, which signals an insufficient grid.
+    Under ``t = T sin^2(theta)``, ``tan(theta)`` is half-normal with variance
+    ``T / l2``, so a draw is ``T Z^2 / (Z^2 + l2 / T)`` for a standard normal
+    ``Z``.
     """
 
-    TAIL = 1e-12
-
-    def __init__(self, l2: float, T: float, grid_size: int = 2048, tol: float = 1e-8):
+    def __init__(self, l2: float, T: float):
         if l2 <= 0 or T <= 0:
             raise ValueError("l2 and T must be positive")
         self.l2 = float(l2)
         self.T = float(T)
-        a = l2 / (2.0 * T)
-        scale = 1.0 / math.sqrt(2.0 * a)  # heuristic spread of tan(theta)
-
-        u = np.linspace(0.0, 1.0 - self.TAIL, grid_size + 1)
-        v = scale * math.sqrt(2.0) * erfinv(u)
-        theta = np.arctan(v)
-
-        def g(th):
-            tan = np.tan(th)
-            return (
-                2.0
-                / math.sqrt(2.0 * math.pi)
-                * math.sqrt(2.0 * a)
-                * np.exp(-a * tan**2)
-                / np.cos(th) ** 2
-            )
-
-        incr = np.empty(grid_size)
-        for k in range(grid_size):
-            incr[k], _ = fixed_quad(g, theta[k], theta[k + 1], n=24)
-        cdf = np.concatenate([[0.0], np.cumsum(incr)])
-        if abs(cdf[-1] - 1.0) > tol or np.any(np.diff(cdf) < 0):
-            raise ArithmeticError(
-                f"last-zero CDF grid failed: total mass {cdf[-1]!r}, tolerance {tol}"
-            )
-        self._cdf = cdf
-        self._t = self.T * np.sin(theta) ** 2
-
-    def cdf(self, t):
-        """Grid CDF evaluated by interpolation (quadrature-backed)."""
-        return np.interp(np.asarray(t, dtype=float), self._t, self._cdf, left=0.0, right=1.0)
 
     def sample(self, rng: np.random.Generator, size=None):
-        u = rng.random(size=size)
-        return np.interp(u, self._cdf, self._t)
+        z2 = rng.standard_normal(size) ** 2
+        return self.T * z2 / (z2 + self.l2 / self.T)
 
 
 def three_process_zero_mc(

@@ -277,12 +277,12 @@ def _param(cfg: ExperimentConfig, name: str, convert, default=_REQUIRED):
 
 
 def _positive(convert):
-    """``convert`` followed by a check that the value is > 0."""
+    """``convert`` followed by a check that the value is finite and > 0."""
 
     def checked(value):
         value = convert(value)
-        if not value > 0:
-            raise ValueError("must be positive")
+        if not 0 < value < math.inf:
+            raise ValueError("must be positive and finite")
         return value
 
     return checked
@@ -400,10 +400,16 @@ def _exp_occupation(cfg: ExperimentConfig) -> list[TestRecord]:
 QUAD_REL_ERR = 1e-8
 
 
+def _lambda_grid(values) -> list[float]:
+    """Finite positive lambdas whose record ids ``f"{lam:g}"`` are distinct."""
+    grid = [_positive(float)(v) for v in values]
+    if len({f"{lam:g}" for lam in grid}) < len(grid):
+        raise ValueError("two values print alike under %g, so their record ids repeat")
+    return grid
+
+
 def _exp_bridge(cfg: ExperimentConfig) -> list[TestRecord]:
-    grid = _param(
-        cfg, "lambda_grid", lambda v: [float(t) for t in v], [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0]
-    )
+    grid = _param(cfg, "lambda_grid", _lambda_grid, [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0])
     records = []
     for idx, lam in enumerate(grid):
         # realize lambda with T = 1/2 and l1 = l2 = sqrt(lam)

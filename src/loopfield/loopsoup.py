@@ -100,8 +100,8 @@ class LoopSoupSampler:
         alpha: float,
         length_cutoff_eps: float = 1e-9,
     ):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("alpha must be finite and positive")
         if not (0 < length_cutoff_eps < 1):
             raise ValueError("length_cutoff_eps must lie in (0, 1)")
         self.network = net

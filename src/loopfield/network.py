@@ -5,9 +5,7 @@ non-negative killing rate per vertex.  The continuous-time walk jumps across
 an edge at its conductance rate and dies at a vertex at its killing rate, so
 the total rate at a vertex is ``lambda(x) = kappa(x) + sum_y C(x, y)``.  A
 killing rate of ``inf`` marks an absorbing vertex: jumping into it kills the
-walk instantly, and the vertex is excluded from all linear algebra.  Every
-edge also carries a cable length ``rho(e) = 1 / (2 C(e))`` used by the
-metric-graph constructions.
+walk instantly, and the vertex is excluded from all linear algebra.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ class Network:
     alive: np.ndarray = field(init=False, repr=False)
     alive_pos: np.ndarray = field(init=False, repr=False)
     lambda_total: np.ndarray = field(init=False, repr=False)
-    edge_lengths: np.ndarray = field(init=False, repr=False)
     edge_ends: np.ndarray = field(init=False, repr=False)
     conductances: np.ndarray = field(init=False, repr=False)
     neighbors: tuple = field(init=False, repr=False)
@@ -132,8 +129,7 @@ class Network:
         table = np.array(edges, dtype=float).reshape(-1, 3)
         ends = table[:, :2].astype(np.int64)
         conductances = table[:, 2].copy()
-        lengths = 1.0 / (2.0 * conductances)
-        for arr in (lengths, ends, conductances):
+        for arr in (ends, conductances):
             arr.flags.writeable = False
         lam.flags.writeable = False
 
@@ -142,7 +138,6 @@ class Network:
         object.__setattr__(self, "alive", alive)
         object.__setattr__(self, "alive_pos", alive_pos)
         object.__setattr__(self, "lambda_total", lam)
-        object.__setattr__(self, "edge_lengths", lengths)
         object.__setattr__(self, "edge_ends", ends)
         object.__setattr__(self, "conductances", conductances)
         object.__setattr__(self, "neighbors", tuple(tuple(a) for a in adj))
@@ -162,15 +157,6 @@ class Network:
             return self._edge_ids[(min(u, v), max(u, v))]
         except KeyError:
             raise NetworkError(f"no edge between {u} and {v}") from None
-
-    def rho(self, edge_id: int) -> float:
-        """Cable length of an edge, ``1 / (2 C(e))``."""
-        return float(self.edge_lengths[edge_id])
-
-    def jump_probability(self, x: int, y: int) -> float:
-        """Jump-chain probability ``C(x, y) / lambda(x)``."""
-        eid = self.edge_id(x, y)
-        return self.edges[eid][2] / float(self.lambda_total[x])
 
     # -- serialization -----------------------------------------------------
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.special import erfinv
 
 from loopfield.bridges import (
@@ -16,7 +16,7 @@ from loopfield.bridges import (
     zero_probability_closed_form,
     zero_probability_quadrature,
 )
-from loopfield.stats import z_score
+from loopfield.stats import mc_mean, z_score
 from loopfield.streams import derive_stream
 
 LAMBDA_GRID = [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0]
@@ -83,17 +83,33 @@ def test_first_zero_concentrates_near_T():
     assert np.median(draws) > 0.99
 
 
+def quadrature_cdf(t, l2, T):
+    """``int_0^t last_zero_density``, by vector quadrature over ``s = u^2 t``,
+    which removes the density's ``1/sqrt(s)`` singularity at 0."""
+    t = np.asarray(t, dtype=float)
+    value, _ = quad_vec(lambda u: 2.0 * u * t * last_zero_density(u * u * t, l2, T), 0.0, 1.0)
+    return value
+
+
 def test_last_zero_sampler_against_quadrature_cdf():
     rng = derive_stream(43, 0)
     for l2, T in [(0.5, 0.5), (2.0, 1.0)]:
-        sampler = LastZeroSampler(l2, T)
-        draws = sampler.sample(rng, size=100_000)
+        draws = LastZeroSampler(l2, T).sample(rng, size=100_000)
         assert draws.min() > 0 and draws.max() < T
-        assert sps.kstest(draws, sampler.cdf).pvalue > 1e-3
-        # grid CDF is the quadrature of the stated density
+        assert sps.kstest(draws, lambda t: quadrature_cdf(t, l2, T)).pvalue > 1e-3
         for t in (0.2 * T, 0.7 * T):
             num, _ = quad(lambda s: last_zero_density(s, l2, T), 0.0, t, limit=200)
-            assert sampler.cdf(t) == pytest.approx(num, abs=1e-4)
+            assert quadrature_cdf(t, l2, T) == pytest.approx(num, abs=1e-9)
+
+
+def test_last_zero_draws_integrate_first_zero_cdf():
+    # E[F1(t2)] = P(t1 <= t2) = exp(-2 sqrt(lambda)), with lambda realized as in
+    # bridge-check; lambda = 25 probes the far upper tail of t2
+    for idx, lam in enumerate((1.0, 4.0, 25.0)):
+        p = BridgeProblem(0.5, math.sqrt(lam), math.sqrt(lam))
+        t2 = LastZeroSampler(p.l2, p.T).sample(derive_stream(48, idx), size=1_000_000)
+        est, sem = mc_mean(first_zero_cdf(t2, p.l1, p.T))
+        assert abs(z_score(est, zero_probability_closed_form(p), sem)) < 4.0
 
 
 def test_last_zero_small_l2_median():
@@ -107,11 +123,6 @@ def test_last_zero_small_l2_median():
     draws = LastZeroSampler(l2, T).sample(rng, size=100_000)
     assert np.median(draws) == pytest.approx(median_exact, rel=0.02)
     assert median_exact > 0.9 * T  # the law pushes toward T as l2 -> 0
-
-
-def test_last_zero_grid_failure_reported():
-    with pytest.raises(ArithmeticError):
-        LastZeroSampler(0.5, 0.5, tol=1e-16)
 
 
 def test_three_process_mc_matches_closed_form():

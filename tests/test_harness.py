@@ -228,6 +228,7 @@ PARAMETER = "error: parameter "
 NETWORK = "error: field 'network': "
 REPLICAS = "error: field 'replicas': "
 SEED = "error: field 'seed': "
+GRID = PARAMETER + "'lambda_grid': "
 
 
 @pytest.mark.parametrize(
@@ -294,6 +295,28 @@ SEED = "error: field 'seed': "
         ),
         (None, {"experiment": "coupling-law", "parameters": {"ks_pvalue": 0.1}}, PARAMETER),
         (None, {"experiment": "bridge-check", "parameters": {"quad_rel_err": 1e-8}}, PARAMETER),
+        (["bridge-check", "--lambda-grid", "inf"], None, GRID),
+        (["bridge-check", "--lambda-grid", "1,-1"], None, GRID),
+        (["bridge-check", "--lambda-grid", "0"], None, GRID),
+        (None, {"experiment": "bridge-check", "parameters": {"lambda_grid": [math.nan]}}, GRID),
+        (["bridge-check", "--lambda-grid", "1e-4,1.000001e-4"], None, GRID),
+        (["interlacement", "--u", "inf"], None, PARAMETER + "'u'"),
+        (["isomorphism-check", "--u", "inf"], None, PARAMETER + "'u'"),
+        (["levelset-check", "--u", "inf"], None, PARAMETER + "'u'"),
+        (
+            None,
+            {
+                "experiment": "occupation-field",
+                "network": "path:3",
+                "parameters": {"alpha": math.inf},
+            },
+            PARAMETER + "'alpha'",
+        ),
+        (
+            ["sample-loops", "--net", "two-vertex", "--alpha", "nan"],
+            None,
+            "error: alpha must be finite and positive",
+        ),
     ],
     ids=[
         "vertex-out-of-range",
@@ -328,6 +351,16 @@ SEED = "error: field 'seed': "
         "connectivity-z_limit",
         "coupling-law-ks_pvalue",
         "bridge-check-quad_rel_err",
+        "bridge-check-infinite-lambda",
+        "bridge-check-negative-lambda",
+        "bridge-check-zero-lambda",
+        "bridge-check-nan-lambda",
+        "bridge-check-repeated-record-id",
+        "interlacement-infinite-u",
+        "isomorphism-infinite-u",
+        "levelset-infinite-u",
+        "occupation-infinite-alpha",
+        "sample-loops-nan-alpha",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config, message):

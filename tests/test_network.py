@@ -7,7 +7,6 @@ from loopfield import (
     Network,
     NetworkError,
     build_box_network,
-    grid_network,
     modified_network,
     network_from_json,
     network_to_json,
@@ -18,11 +17,10 @@ from loopfield.network import box_vertex_coords, box_vertex_index
 
 
 def test_two_vertex_rates():
-    # lambda = kappa + sum C = 1 + 1 = 2 at both vertices, P(a,b) = 1/2
+    # lambda = kappa + sum C = 1 + 1 = 2 at both vertices
     net = two_vertex_network()
     assert net.lambda_total[0] == 2.0
     assert net.lambda_total[1] == 2.0
-    assert net.jump_probability(0, 1) == 0.5
 
 
 def test_absorbing_box_counts():
@@ -30,15 +28,6 @@ def test_absorbing_box_counts():
     assert net.vertex_count == 25
     assert net.alive.size == 9
     assert sum(net.is_absorbing(x) for x in range(25)) == 16
-
-
-def test_edge_lengths_half_conductance():
-    net = build_box_network(2, 1, 0.5, 1.0, "killed_uniform")
-    assert np.allclose(net.edge_lengths, 1.0)
-    # rho(e) * 2 C(e) = 1 on any network
-    net2 = grid_network(2, 3, conductance=1.7, killing=0.3)
-    for eid, (_, _, c) in enumerate(net2.edges):
-        assert net2.rho(eid) * 2.0 * c == pytest.approx(1.0, abs=1e-15)
 
 
 def test_halfplane_floor_kills_floor_layer():
