@@ -401,8 +401,10 @@ QUAD_REL_ERR = 1e-8
 
 
 def _lambda_grid(values) -> list[float]:
-    """Finite positive lambdas whose record ids ``f"{lam:g}"`` are distinct."""
+    """At least one finite positive lambda; record ids ``f"{lam:g}"`` distinct."""
     grid = [_positive(float)(v) for v in values]
+    if not grid:
+        raise ValueError("no value given")
     if len({f"{lam:g}" for lam in grid}) < len(grid):
         raise ValueError("two values print alike under %g, so their record ids repeat")
     return grid

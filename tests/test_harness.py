@@ -300,6 +300,7 @@ GRID = PARAMETER + "'lambda_grid': "
         (["bridge-check", "--lambda-grid", "0"], None, GRID),
         (None, {"experiment": "bridge-check", "parameters": {"lambda_grid": [math.nan]}}, GRID),
         (["bridge-check", "--lambda-grid", "1e-4,1.000001e-4"], None, GRID),
+        (["bridge-check", "--lambda-grid", ""], None, GRID),
         (["interlacement", "--u", "inf"], None, PARAMETER + "'u'"),
         (["isomorphism-check", "--u", "inf"], None, PARAMETER + "'u'"),
         (["levelset-check", "--u", "inf"], None, PARAMETER + "'u'"),
@@ -356,6 +357,7 @@ GRID = PARAMETER + "'lambda_grid': "
         "bridge-check-zero-lambda",
         "bridge-check-nan-lambda",
         "bridge-check-repeated-record-id",
+        "bridge-check-empty-grid",
         "interlacement-infinite-u",
         "isomorphism-infinite-u",
         "levelset-infinite-u",
