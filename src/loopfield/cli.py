@@ -248,7 +248,12 @@ def _dispatch(args) -> int:
         )
 
     if cmd == "bridge-check":
-        grid = [float(v) for v in args.lambda_grid.split(",") if v]
+        try:
+            grid = [float(v) for v in args.lambda_grid.split(",") if v]
+        except ValueError as exc:
+            raise ConfigError(
+                f"parameter 'lambda_grid': bad value {args.lambda_grid!r} ({exc})"
+            ) from exc
         cfg = ExperimentConfig(
             experiment="bridge-check",
             seed=args.seed,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bridges
 from .coupling import collect_coupled_fields, field_law_records
-from .gff import cluster_edges, connectivity_probability, sample_edge_configuration, sample_gff
+from .gff import cable_open_probability, cluster_edges, connectivity_probability
 from .green import compute_green, sqrt_det_ratio
 from .interlacement import (
     build_star_graph,
@@ -304,12 +304,21 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
     gop = compute_green(net)
     exact = connectivity_probability(gop, x, y)
 
-    def one(_i, rng):
-        phi = sample_gff(gop, rng)
-        config = sample_edge_configuration(phi, net, rng)
-        return 1.0 if cluster_edges(config, net).same_cluster(x, y) else 0.0
-
-    hits = np.array(replicate(cfg.replicas, cfg.seed, one))
+    # each replica draws what sample_gff and sample_edge_configuration draw, in
+    # their order; the fields and opening probabilities of all replicas then
+    # come from one array call each
+    n, edge_count = net.alive.size, net.edge_count
+    draws = replicate(
+        cfg.replicas, cfg.seed, lambda _i, rng: (rng.standard_normal(n), rng.random(edge_count))
+    )
+    z, u = (np.array(block) for block in zip(*draws))
+    phi = np.zeros((cfg.replicas, net.vertex_count))
+    phi[:, net.alive] = gop.apply_chol(z)
+    a, b = net.edge_ends.T
+    is_open = u < cable_open_probability(net.conductances, phi[:, a] * phi[:, b])
+    hits = np.array(
+        [1.0 if cluster_edges(row, net).same_cluster(x, y) else 0.0 for row in is_open]
+    )
     return [
         z_record(
             f"connectivity-v{x}-v{y}",

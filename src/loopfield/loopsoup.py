@@ -213,11 +213,14 @@ class LoopSoupSampler:
                 pick = min(pick, self._length_values.size - 1)
                 length = int(self._length_values[pick])
                 verts = self._sample_skeleton(length, rng)
-                holds = rng.exponential(1.0 / self._lambda_alive[verts])
+                # scale * standard draw is how numpy computes exponential(scale),
+                # bit for bit, without its slow broadcasting path
+                holds = rng.standard_exponential(length) * (1.0 / self._lambda_alive[verts])
                 skeleton = LoopSkeleton(tuple(int(g) for g in net.alive[verts]))
                 loops.append((skeleton, holds))
         trivial = np.zeros(net.vertex_count)
-        trivial[net.alive] = rng.gamma(self.alpha, 1.0 / self._lambda_alive)
+        lam = self._lambda_alive
+        trivial[net.alive] = rng.standard_gamma(self.alpha, size=lam.size) * (1.0 / lam)
         return LoopSoupSample(tuple(loops), trivial, self.alpha)
 
 
@@ -233,13 +236,12 @@ def traversed_edges(sample: LoopSoupSample, net: Network) -> np.ndarray:
     """Boolean mask of the edges crossed by some loop, including each loop's
     closing step from its last vertex back to its first."""
     crossed = np.zeros(net.edge_count, dtype=bool)
-    crossed[
-        [
-            net.edge_id(u, v)
-            for skeleton, _ in sample.loops
-            for u, v in zip(skeleton.vertices, skeleton.vertices[1:] + skeleton.vertices[:1])
-        ]
-    ] = True
+    if sample.loops:
+        here = np.concatenate([skeleton.vertices for skeleton, _ in sample.loops])
+        there = np.concatenate(
+            [skeleton.vertices[1:] + skeleton.vertices[:1] for skeleton, _ in sample.loops]
+        )
+        crossed[net.edge_ids(here, there)] = True
     return crossed
 
 

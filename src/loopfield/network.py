@@ -10,6 +10,7 @@ walk instantly, and the vertex is excluded from all linear algebra.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -157,6 +158,27 @@ class Network:
             return self._edge_ids[(min(u, v), max(u, v))]
         except KeyError:
             raise NetworkError(f"no edge between {u} and {v}") from None
+
+    @functools.cached_property
+    def _edge_key_index(self) -> tuple[np.ndarray, np.ndarray]:
+        # edge keys u * vertex_count + v (u < v), sorted, and their edge ids
+        keys = self.edge_ends[:, 0] * self.vertex_count + self.edge_ends[:, 1]
+        order = np.argsort(keys)
+        return keys[order], order
+
+    def edge_ids(self, u, v) -> np.ndarray:
+        """Ids of the edges ``{u[i], v[i]}``, elementwise, by one ``searchsorted``
+        against the sorted edge keys; a pair that is no edge is a NetworkError."""
+        u, v = np.asarray(u), np.asarray(v)
+        keys, order = self._edge_key_index
+        want = np.minimum(u, v) * self.vertex_count + np.maximum(u, v)
+        pos = keys.searchsorted(want)
+        found = pos < keys.size
+        found[found] = keys[pos[found]] == want[found]
+        if not found.all():
+            bad = np.flatnonzero(~found)[0]
+            raise NetworkError(f"no edge between {u.flat[bad]} and {v.flat[bad]}")
+        return order[pos]
 
     # -- serialization -----------------------------------------------------
 

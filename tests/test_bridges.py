@@ -23,7 +23,15 @@ LAMBDA_GRID = [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0]
 
 
 def problem_for(lam: float, T: float = 0.5) -> BridgeProblem:
-    return BridgeProblem(T, math.sqrt(lam) * 2.0 * T, 1.0)
+    # l1 = l2 = 2T sqrt(lam) gives l1 l2 / (2T)^2 = lam
+    side = 2.0 * T * math.sqrt(lam)
+    return BridgeProblem(T, side, side)
+
+
+def test_problem_for_realizes_lambda():
+    for lam in LAMBDA_GRID:
+        assert problem_for(lam).lam == pytest.approx(lam, rel=1e-14)
+        assert problem_for(lam, T=2.0).lam == pytest.approx(lam, rel=1e-14)
 
 
 def test_closed_form_values():

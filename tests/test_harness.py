@@ -301,6 +301,7 @@ GRID = PARAMETER + "'lambda_grid': "
         (None, {"experiment": "bridge-check", "parameters": {"lambda_grid": [math.nan]}}, GRID),
         (["bridge-check", "--lambda-grid", "1e-4,1.000001e-4"], None, GRID),
         (["bridge-check", "--lambda-grid", ""], None, GRID),
+        (["bridge-check", "--lambda-grid", "abc"], None, GRID),
         (["interlacement", "--u", "inf"], None, PARAMETER + "'u'"),
         (["isomorphism-check", "--u", "inf"], None, PARAMETER + "'u'"),
         (["levelset-check", "--u", "inf"], None, PARAMETER + "'u'"),
@@ -358,6 +359,7 @@ GRID = PARAMETER + "'lambda_grid': "
         "bridge-check-nan-lambda",
         "bridge-check-repeated-record-id",
         "bridge-check-empty-grid",
+        "bridge-check-grid-not-a-number",
         "interlacement-infinite-u",
         "isomorphism-infinite-u",
         "levelset-infinite-u",
