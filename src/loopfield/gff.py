@@ -37,12 +37,22 @@ class FieldSample:
     values: np.ndarray
 
 
-def sample_gff(gop: GreenOperator, rng: np.random.Generator) -> FieldSample:
-    """Draw one free field: ``phi = chol(G) z`` with z standard normal."""
+def sample_gff(
+    gop: GreenOperator,
+    rng: np.random.Generator | None = None,
+    *,
+    normals: np.ndarray | None = None,
+) -> FieldSample:
+    """Draw one free field: ``phi = chol(G) z`` with z standard normal.
+
+    Given ``normals`` instead of ``rng``, a ``(..., alive count)`` block of
+    the draws ``rng`` would make (one row per replica), the fields of all rows
+    come from one solve; values then have shape ``(..., vertex_count)``.
+    """
     net = gop.network
-    z = rng.standard_normal(net.alive.size)
-    values = np.zeros(net.vertex_count)
-    values[net.alive] = gop.apply_chol(z)
+    z = rng.standard_normal(net.alive.size) if normals is None else normals
+    values = np.zeros(z.shape[:-1] + (net.vertex_count,))
+    values[..., net.alive] = gop.apply_chol(z)
     return FieldSample(values)
 
 
@@ -59,17 +69,23 @@ def cable_open_probability(conductance, product):
 
 
 def sample_edge_configuration(
-    field: FieldSample, net: Network, rng: np.random.Generator
+    field: FieldSample,
+    net: Network,
+    rng: np.random.Generator | None = None,
+    *,
+    uniforms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Open each edge independently given the field; the boolean open mask.
 
     One uniform draw is consumed per edge, in edge-id order, so the
-    configuration is reproducible for a fixed stream.
+    configuration is reproducible for a fixed stream.  Given ``uniforms``
+    instead of ``rng``, a ``(..., edge_count)`` block of those draws with a
+    field block of the same leading shape, every row is opened at once.
     """
     phi = field.values
     a, b = net.edge_ends.T
-    probs = cable_open_probability(net.conductances, phi[a] * phi[b])
-    draws = rng.random(net.edge_count)
+    probs = cable_open_probability(net.conductances, phi[..., a] * phi[..., b])
+    draws = rng.random(net.edge_count) if uniforms is None else uniforms
     return draws < probs
 
 

@@ -19,7 +19,12 @@ import numpy as np
 
 from . import bridges
 from .coupling import collect_coupled_fields, field_law_records
-from .gff import cable_open_probability, cluster_edges, connectivity_probability
+from .gff import (
+    cluster_edges,
+    connectivity_probability,
+    sample_edge_configuration,
+    sample_gff,
+)
 from .green import compute_green, sqrt_det_ratio
 from .interlacement import (
     build_star_graph,
@@ -297,6 +302,11 @@ def _vertex(cfg: ExperimentConfig, net: Network, name: str) -> int:
     return x
 
 
+# connectivity stacks the draws of at most this many field and edge values at
+# once, so its memory does not grow with the replica count
+CONNECTIVITY_CHUNK_VALUES = 1 << 20
+
+
 def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
     x = _vertex(cfg, net, "x")
@@ -304,21 +314,23 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
     gop = compute_green(net)
     exact = connectivity_probability(gop, x, y)
 
-    # each replica draws what sample_gff and sample_edge_configuration draw, in
-    # their order; the fields and opening probabilities of all replicas then
-    # come from one array call each
+    # a replica draws what sample_gff(gop, rng) and then
+    # sample_edge_configuration(field, net, rng) draw; a chunk of replicas gets
+    # its fields and open masks from one call of each on the stacked draws
     n, edge_count = net.alive.size, net.edge_count
-    draws = replicate(
-        cfg.replicas, cfg.seed, lambda _i, rng: (rng.standard_normal(n), rng.random(edge_count))
-    )
-    z, u = (np.array(block) for block in zip(*draws))
-    phi = np.zeros((cfg.replicas, net.vertex_count))
-    phi[:, net.alive] = gop.apply_chol(z)
-    a, b = net.edge_ends.T
-    is_open = u < cable_open_probability(net.conductances, phi[:, a] * phi[:, b])
-    hits = np.array(
-        [1.0 if cluster_edges(row, net).same_cluster(x, y) else 0.0 for row in is_open]
-    )
+    chunk = max(1, CONNECTIVITY_CHUNK_VALUES // (net.vertex_count + edge_count))
+    hits = []
+    for start in range(0, cfg.replicas, chunk):
+        draws = replicate(
+            min(chunk, cfg.replicas - start),
+            cfg.seed,
+            lambda _i, rng: (rng.standard_normal(n), rng.random(edge_count)),
+            start=start,
+        )
+        z, u = (np.array(block) for block in zip(*draws))
+        is_open = sample_edge_configuration(sample_gff(gop, normals=z), net, uniforms=u)
+        hits += [1.0 if cluster_edges(row, net).same_cluster(x, y) else 0.0 for row in is_open]
+    hits = np.array(hits)
     return [
         z_record(
             f"connectivity-v{x}-v{y}",

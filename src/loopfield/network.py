@@ -142,7 +142,6 @@ class Network:
         object.__setattr__(self, "edge_ends", ends)
         object.__setattr__(self, "conductances", conductances)
         object.__setattr__(self, "neighbors", tuple(tuple(a) for a in adj))
-        object.__setattr__(self, "_edge_ids", {(u, v): i for i, (u, v, _) in enumerate(edges)})
 
     # -- lookups -----------------------------------------------------------
 
@@ -154,10 +153,7 @@ class Network:
         return not math.isfinite(self.killing[x])
 
     def edge_id(self, u: int, v: int) -> int:
-        try:
-            return self._edge_ids[(min(u, v), max(u, v))]
-        except KeyError:
-            raise NetworkError(f"no edge between {u} and {v}") from None
+        return int(self.edge_ids([u], [v])[0])
 
     @functools.cached_property
     def _edge_key_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +167,11 @@ class Network:
         against the sorted edge keys; a pair that is no edge is a NetworkError."""
         u, v = np.asarray(u), np.asarray(v)
         keys, order = self._edge_key_index
-        want = np.minimum(u, v) * self.vertex_count + np.maximum(u, v)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        want = lo * self.vertex_count + hi
         pos = keys.searchsorted(want)
-        found = pos < keys.size
+        # a pair outside 0 .. vertex_count - 1 could alias another pair's key
+        found = (pos < keys.size) & (lo >= 0) & (hi < self.vertex_count)
         found[found] = keys[pos[found]] == want[found]
         if not found.all():
             bad = np.flatnonzero(~found)[0]

@@ -44,12 +44,12 @@ def _xorshift(value: np.ndarray) -> np.ndarray:
     return value ^ (value >> np.uint32(16))
 
 
-def _replica_keys(master_seed: int, replicas: int) -> np.ndarray:
-    """Philox keys of ``derive_stream(master_seed, i)`` for ``i < replicas``,
-    shape ``(replicas, 2)``; one spawn word, so ``replicas <= 2^32``."""
+def _replica_keys(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Philox keys of ``derive_stream(master_seed, i)`` for ``start <= i < stop``,
+    shape ``(stop - start, 2)``; one spawn word, so ``stop <= 2^32``."""
     seed = int(master_seed) & _SEED_MASK
     words = [np.array([w], dtype=np.uint32) for w in (seed & _WORD_MASK, seed >> 32, 0, 0)]
-    words.append(np.arange(replicas, dtype=np.uint32))
+    words.append(np.arange(start, stop, dtype=np.uint32))
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -80,24 +80,26 @@ def _replica_keys(master_seed: int, replicas: int) -> np.ndarray:
     return np.stack([state[0] | state[1] << shift, state[2] | state[3] << shift], axis=1)
 
 
-def replicate(replicas: int, seed: int, fn) -> list:
-    """Run ``fn(index, rng)`` for each replica in index order, in this thread,
-    with the draws of ``derive_stream(seed, index)``; return the results in
-    index order.
+def replicate(replicas: int, seed: int, fn, start: int = 0) -> list:
+    """Run ``fn(index, rng)`` for each replica index ``start .. start +
+    replicas - 1`` in order, in this thread, with the draws of
+    ``derive_stream(seed, index)``; return the results in index order.
 
     One generator serves every replica and is re-keyed before each call, so
     ``fn`` must not keep ``rng`` (or anything drawing from it) after it
-    returns.  At most 2^32 replicas: the keys assume a one-word spawn key.
+    returns.  Indices stop below 2^32: the keys assume a one-word spawn key.
     """
-    if replicas > 1 << 32:
-        raise ValueError("replicate supports at most 2^32 replicas")
-    keys = _replica_keys(seed, max(replicas, 0))
+    stop = start + max(replicas, 0)
+    if start < 0:
+        raise ValueError("replica indices must be >= 0")
+    if stop > 1 << 32:
+        raise ValueError("replicate supports replica indices below 2^32 only")
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     counter = np.zeros(4, dtype=np.uint64)
     buffer = np.zeros(4, dtype=np.uint64)
     results = []
-    for i, key in enumerate(keys):
+    for i, key in enumerate(_replica_keys(seed, start, stop), start):
         bitgen.state = {
             "bit_generator": "Philox",
             "state": {"counter": counter, "key": key},

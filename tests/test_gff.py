@@ -15,8 +15,28 @@ from loopfield import (
     sample_gff,
 )
 from loopfield.gff import cable_open_probability
+from loopfield.harness import parse_network_spec
 from loopfield.stats import mc_mean, z_score
 from loopfield.streams import derive_stream
+
+
+def test_block_draws_match_one_replica_at_a_time():
+    # absorbing boundary, so the block path must place zeros there too
+    net = parse_network_spec("box:d=2,n=4,mode=absorbing")
+    gop = compute_green(net)
+    fields, masks = [], []
+    for r in range(5):
+        rng = derive_stream(8, r)
+        fields.append(sample_gff(gop, rng))
+        masks.append(sample_edge_configuration(fields[-1], net, rng))
+    z, u = [], []
+    for r in range(5):
+        rng = derive_stream(8, r)
+        z.append(rng.standard_normal(net.alive.size))
+        u.append(rng.random(net.edge_count))
+    block = sample_gff(gop, normals=np.array(z))
+    assert np.array_equal(block.values, [f.values for f in fields])
+    assert np.array_equal(sample_edge_configuration(block, net, uniforms=np.array(u)), masks)
 
 
 def test_sampling_is_deterministic(two_vertex):

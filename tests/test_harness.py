@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from loopfield import harness
 from loopfield.cli import main
 from loopfield.harness import (
     ConfigError,
@@ -129,6 +130,16 @@ def test_run_experiment_connectivity_and_det_ratio():
     report = run_experiment(cfg)
     assert report.all_passed
     assert report.records[0].exact == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
+
+
+def test_connectivity_report_does_not_depend_on_chunk(monkeypatch):
+    cfg = ExperimentConfig(
+        "connectivity", seed=7, replicas=50, network="grid:3x3", parameters={"x": 0, "y": 8}
+    )
+    whole = run_experiment(cfg).to_json()
+    # 9 vertices + 12 edges: chunks of 3 replicas, the last one short
+    monkeypatch.setattr(harness, "CONNECTIVITY_CHUNK_VALUES", 3 * 21)
+    assert run_experiment(cfg).to_json() == whole
 
 
 def test_reports_are_byte_identical():

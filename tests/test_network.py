@@ -57,15 +57,21 @@ def test_rejects_bad_edges():
         Network(3, ((0, 1, 1.0),), np.ones(3))  # disconnected vertex 2
 
 
-def test_edge_ids_match_edge_id():
+def test_edge_ids_match_edge_list():
     # edges listed out of key order, so the sorted-key index must permute
     net = Network(4, ((2, 3, 1.0), (0, 1, 1.0), (1, 3, 2.0), (0, 2, 1.0)), np.ones(4))
     u = np.array([3, 0, 1, 3, 2, 0])
     v = np.array([2, 1, 3, 1, 0, 1])
-    assert net.edge_ids(u, v).tolist() == [net.edge_id(a, b) for a, b in zip(u, v)]
+    assert net.edge_ids(u, v).tolist() == [0, 1, 2, 2, 3, 1]
+    assert [net.edge_id(a, b) for a, b in zip(u, v)] == [0, 1, 2, 2, 3, 1]
     assert net.edge_ids([], []).size == 0
     with pytest.raises(NetworkError, match="no edge between 0 and 3"):
         net.edge_ids([0, 0], [1, 3])
+    with pytest.raises(NetworkError, match="no edge between 3 and 0"):
+        net.edge_id(3, 0)
+    # -1 * 4 + 5 is the key of edge (0, 1): out-of-range vertices must not alias it
+    with pytest.raises(NetworkError):
+        net.edge_id(-1, 5)
     with pytest.raises(NetworkError):
         path_network(2).edge_ids([1], [1])
 

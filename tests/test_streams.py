@@ -10,7 +10,7 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1]
 @pytest.mark.parametrize("seed", SEEDS)
 def test_keys_equal_seed_sequence_keys(seed):
     last = 2**16 + 3
-    keys = _replica_keys(seed, last + 1)
+    keys = _replica_keys(seed, 0, last + 1)
     assert keys.shape == (last + 1, 2) and keys.dtype == np.uint64
     for i in (0, 1, 2**16, last):
         seq = np.random.SeedSequence(seed & MASK, spawn_key=(i,))
@@ -38,6 +38,16 @@ def test_replicate_draws_equal_derive_stream(seed):
             assert np.array_equal(a, b)
 
 
+def test_replicate_from_start_index():
+    # the last indices a one-word spawn key reaches
+    start = 2**32 - 4
+    got = replicate(4, 5, _draws, start=start)
+    for i, draws in enumerate(got, start):
+        for a, b in zip(draws, _draws(i, derive_stream(5, i))):
+            assert np.array_equal(a, b)
+    assert replicate(3, 5, lambda i, _rng: i, start=7) == [7, 8, 9]
+
+
 def test_replicate_resets_buffered_state():
     # a 32-bit draw leaves half a word buffered; the next replica must not see it
     def fn(_i, rng):
@@ -53,4 +63,8 @@ def test_replicate_rejects_more_than_one_spawn_word():
     # rejected before any key is derived, so nothing of that size is allocated
     with pytest.raises(ValueError, match="2\\^32"):
         replicate(2**32 + 1, 1, _draws)
+    with pytest.raises(ValueError, match="2\\^32"):
+        replicate(2, 1, _draws, start=2**32 - 1)
+    with pytest.raises(ValueError, match=">= 0"):
+        replicate(2, 1, _draws, start=-1)
     assert replicate(0, 1, _draws) == []
