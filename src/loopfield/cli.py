@@ -46,12 +46,24 @@ def _fmt(v) -> str:
     return format(float(v), FMT)
 
 
+def _parse_flag(name: str, text: str, convert):
+    """``convert(text)``; a value it rejects is a ConfigError naming ``name``."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"parameter {name!r}: bad value {text!r} ({exc})") from exc
+
+
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     pairs = []
     for chunk in text.replace(";", " ").split():
         a, _, b = chunk.partition("-")
         pairs.append((int(a), int(b)))
     return pairs
+
+
+def _points(text: str) -> list[list[int]]:
+    return [[int(c) for c in chunk.split(",")] for chunk in text.split(";") if chunk]
 
 
 def _add_common(sub, replicas_default=100_000):
@@ -175,7 +187,7 @@ def _dispatch(args) -> int:
             for y in alive[i:]:
                 lines.append(f"g,{x},{y},{_fmt(normalized_green(gop, int(x), int(y)))}")
         if args.remove:
-            pairs = _parse_pairs(args.remove)
+            pairs = _parse_flag("remove", args.remove, _parse_pairs)
             ids = [net.edge_id(u, v) for u, v in pairs]
             lines.append(f"det-ratio,,,{_fmt(sqrt_det_ratio(net, ids))}")
         _emit(lines, args.out)
@@ -244,16 +256,13 @@ def _dispatch(args) -> int:
             args,
             "det-ratio",
             network=args.net,
-            parameters={"edges": [list(p) for p in _parse_pairs(args.edges)]},
+            parameters={"edges": [list(p) for p in _parse_flag("edges", args.edges, _parse_pairs)]},
         )
 
     if cmd == "bridge-check":
-        try:
-            grid = [float(v) for v in args.lambda_grid.split(",") if v]
-        except ValueError as exc:
-            raise ConfigError(
-                f"parameter 'lambda_grid': bad value {args.lambda_grid!r} ({exc})"
-            ) from exc
+        grid = _parse_flag(
+            "lambda_grid", args.lambda_grid, lambda t: [float(v) for v in t.split(",") if v]
+        )
         cfg = ExperimentConfig(
             experiment="bridge-check",
             seed=args.seed,
@@ -285,9 +294,7 @@ def _dispatch(args) -> int:
     if cmd == "interlacement":
         parameters = {"d": args.d, "n": args.n, "u": args.u}
         if args.k is not None:
-            parameters["k"] = [
-                [int(c) for c in chunk.split(",")] for chunk in args.k.split(";") if chunk
-            ]
+            parameters["k"] = _parse_flag("k", args.k, _points)
         return _run_and_report(args, "interlacement", parameters=parameters)
 
     if cmd == "isomorphism-check":

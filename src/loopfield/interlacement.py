@@ -68,24 +68,14 @@ def build_star_graph(dimension: int, half_width: int) -> StarGraph:
     if half_width < 2:
         raise NetworkError("star graph needs half_width >= 2")
     net = build_box_network(dimension, half_width, 1.0, 0.0, "absorbing")
-    entry_vertices = []
-    entry_edges = []
-    for eid, (a, b, _) in enumerate(net.edges):
-        a_abs, b_abs = net.is_absorbing(a), net.is_absorbing(b)
-        if a_abs != b_abs:
-            entry_vertices.append(b if a_abs else a)
-            entry_edges.append(eid)
-    rate = len(entry_vertices)
+    # the boundary edges: exactly one end absorbing
+    absorbing = ~np.isfinite(net.killing)[net.edge_ends]
+    entry = absorbing[:, 0] != absorbing[:, 1]
+    entry_vertices = np.where(absorbing[entry, 0], net.edge_ends[entry, 1], net.edge_ends[entry, 0])
+    rate = entry_vertices.size
     expected = 2 * dimension * (2 * half_width - 1) ** (dimension - 1)
     assert rate == expected, (rate, expected)
-    return StarGraph(
-        dimension,
-        half_width,
-        net,
-        rate,
-        np.array(entry_vertices),
-        np.array(entry_edges),
-    )
+    return StarGraph(dimension, half_width, net, rate, entry_vertices, np.flatnonzero(entry))
 
 
 # -- capacity ---------------------------------------------------------------
@@ -178,22 +168,23 @@ def compute_capacity(net: Network, k_vertices) -> CapacityReport:
 
 
 def _slot_tables(net: Network) -> tuple[np.ndarray, np.ndarray, int]:
+    # each alive vertex's slots are its edges in edge-id order: a stable sort
+    # of the edge ends groups them by vertex and keeps that order
     alive = net.alive
     if np.any(net.killing[alive] != 0.0):
         raise NetworkError("batch walker requires zero interior killing")
-    two_d = len(net.neighbors[alive[0]])
-    n = alive.size
-    target = np.empty((n, two_d), dtype=np.int64)
-    edge = np.empty((n, two_d), dtype=np.int64)
-    for i, x in enumerate(alive):
-        nbs = net.neighbors[x]
-        if len(nbs) != two_d:
-            raise NetworkError("batch walker requires uniform degree")
-        for k, (y, c, eid) in enumerate(nbs):
-            if c != 1.0:
-                raise NetworkError("batch walker requires unit conductances")
-            target[i, k] = net.alive_pos[y]
-            edge[i, k] = eid
+    ends = net.edge_ends.ravel()
+    degree = np.bincount(ends, minlength=net.vertex_count)
+    two_d = int(degree[alive[0]])
+    if np.any(degree[alive] != two_d):
+        raise NetworkError("batch walker requires uniform degree")
+    first = np.cumsum(degree) - degree
+    half_edges = np.argsort(ends, kind="stable")[first[alive][:, None] + np.arange(two_d)]
+    edge = half_edges // 2
+    if np.any(net.conductances[edge] != 1.0):
+        raise NetworkError("batch walker requires unit conductances")
+    # the other end of half-edge h is h ^ 1
+    target = net.alive_pos[ends[half_edges ^ 1]]
     return target, edge, two_d
 
 

@@ -111,17 +111,16 @@ class LoopSoupSampler:
         alive = net.alive
         lam = net.lambda_total[alive]
         n = alive.size
-        rows, cols, vals = [], [], []
+        # the alive-alive edges, both directions of each edge side by side
+        ends = net.alive_pos[net.edge_ends]
+        both = (ends >= 0).all(axis=1)
+        pu, pv = ends[both].T
+        c = net.conductances[both]
+        rows = np.column_stack([pu, pv]).ravel()
+        cols = np.column_stack([pv, pu]).ravel()
+        vals = np.column_stack([c / lam[pu], c / lam[pv]]).ravel()
         sym = np.zeros((n, n))
-        pos = net.alive_pos
-        for u, v, c in net.edges:
-            pu, pv = pos[u], pos[v]
-            if pu < 0 or pv < 0:
-                continue
-            rows += [pu, pv]
-            cols += [pv, pu]
-            vals += [c / lam[pu], c / lam[pv]]
-            sym[pu, pv] = sym[pv, pu] = c / math.sqrt(lam[pu] * lam[pv])
+        sym[pu, pv] = sym[pv, pu] = c / np.sqrt(lam[pu] * lam[pv])
         # CSR keeps each row's neighbours in ascending order, the order in
         # which a step's cumulative weights are summed
         p = sparse.csr_array((vals, (rows, cols)), shape=(n, n))

@@ -6,6 +6,13 @@ an edge at its conductance rate and dies at a vertex at its killing rate, so
 the total rate at a vertex is ``lambda(x) = kappa(x) + sum_y C(x, y)``.  A
 killing rate of ``inf`` marks an absorbing vertex: jumping into it kills the
 walk instantly, and the vertex is excluded from all linear algebra.
+
+A network holds its graph once, as two arrays in edge-id order: ``edge_ends``
+(E x 2, ``u < v`` in each row) and ``conductances``.  Everything else is
+derived from them with numpy.  Edge-id order is part of the contract: it is
+the order of each vertex's slots in the batched walker, and every float sum
+over a vertex's edges (``lambda``, the killing that ``modified_network``
+moves) adds the conductances in that order.
 """
 
 from __future__ import annotations
@@ -13,10 +20,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .clusters import build_partition
 
 __all__ = [
     "Network",
@@ -43,11 +52,11 @@ class NetworkError(ValueError):
 class Network:
     """Immutable weighted graph with per-vertex killing rates.
 
-    Vertices are indexed densely ``0 .. vertex_count - 1``.  Edges are stored
-    as ``(u, v, conductance)`` with ``u < v``; self-loops and parallel edges
-    are rejected.  ``killing[x] == inf`` marks ``x`` as absorbing.
-    ``edge_ends`` (E x 2) and ``conductances`` hold the edges as arrays, in
-    edge-id order.
+    Vertices are indexed densely ``0 .. vertex_count - 1``.  ``edges`` is an
+    iterable of ``(u, v, conductance)`` or an (E, 3) array; it is stored as
+    ``edge_ends`` (E x 2, each row ordered ``u < v``) and ``conductances``,
+    in the order given, which is the edge-id order.  Self-loops and parallel
+    edges are rejected.  ``killing[x] == inf`` marks ``x`` as absorbing.
 
     The constructor validates connectivity, positive rates and a transience
     certificate: the killing must not vanish identically unless an absorbing
@@ -59,7 +68,7 @@ class Network:
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int, float], ...]
+    edges: InitVar[Iterable]
     killing: np.ndarray
     meta: dict | None = None
     allow_disconnected: bool = False
@@ -70,84 +79,87 @@ class Network:
     lambda_total: np.ndarray = field(init=False, repr=False)
     edge_ends: np.ndarray = field(init=False, repr=False)
     conductances: np.ndarray = field(init=False, repr=False)
-    neighbors: tuple = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, edges) -> None:
         n = self.vertex_count
         if n < 1:
             raise NetworkError("vertex_count must be positive")
         killing = np.asarray(self.killing, dtype=float).copy()
-        killing.flags.writeable = False
         if killing.shape != (n,):
             raise NetworkError(f"killing must have length {n}")
-        if np.any(np.isnan(killing)) or np.any(killing < 0):
+        if np.isnan(killing).any() or (killing < 0).any():
             raise NetworkError("killing rates must be >= 0 (inf marks absorbing)")
-
-        norm_edges = []
-        seen: set[tuple[int, int]] = set()
-        for u, v, c in self.edges:
-            u, v, c = int(u), int(v), float(c)
-            if u == v:
-                raise NetworkError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise NetworkError(f"edge ({u}, {v}) out of range")
-            if c <= 0 or not math.isfinite(c):
-                raise NetworkError(f"edge ({u}, {v}) needs finite conductance > 0")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise NetworkError(f"parallel edge {key}")
-            seen.add(key)
-            norm_edges.append((key[0], key[1], c))
-        edges = tuple(norm_edges)
-
-        adj: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
-        for eid, (u, v, c) in enumerate(edges):
-            adj[u].append((v, c, eid))
-            adj[v].append((u, c, eid))
-
-        lam = killing.copy()
-        for x in range(n):
-            lam[x] = killing[x] + sum(c for _, c, _ in adj[x])
-
         alive = np.flatnonzero(np.isfinite(killing))
+
+        try:
+            table = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise NetworkError(f"edges must be (u, v, conductance) triples: {exc}") from exc
+        table = table.reshape(0, 3) if table.size == 0 else table
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise NetworkError("edges must be (u, v, conductance) triples")
+        raw, conductances = table[:, :2], table[:, 2].copy()
+        ordered = np.sort(raw, axis=1)
+        lo, hi = ordered.T
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")  # equal keys stay in edge-id order
+        repeated = np.zeros(len(table), dtype=bool)
+        repeated[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+        # the per-edge checks, in the order each edge meets them; the first
+        # edge failing any check is reported (.15g writes integral floats as ints)
+        checks = [
+            ((raw != np.floor(raw)).any(axis=1), "edge ({u:.15g}, {v:.15g}) needs integer ends"),
+            (lo == hi, "self-loop at vertex {u:.15g}"),
+            ((lo < 0) | (hi >= n), "edge ({u:.15g}, {v:.15g}) out of range"),
+            (~(np.isfinite(conductances) & (conductances > 0)),
+             "edge ({u:.15g}, {v:.15g}) needs finite conductance > 0"),
+            (repeated, "parallel edge ({lo:.15g}, {hi:.15g})"),
+        ]
+        bad = functools.reduce(np.logical_or, [mask for mask, _ in checks])
+        if bad.any():
+            e = int(np.argmax(bad))
+            message = next(text for mask, text in checks if mask[e])
+            raise NetworkError(message.format(u=raw[e, 0], v=raw[e, 1], lo=lo[e], hi=hi[e]))
+        ends = ordered.astype(np.int64)
+
+        # each vertex's conductances summed in edge-id order, then its killing
+        degree = np.bincount(ends.ravel(), minlength=n)
+        lam = np.bincount(ends.ravel(), weights=np.repeat(conductances, 2), minlength=n) + killing
         alive_pos = np.full(n, -1, dtype=int)
         alive_pos[alive] = np.arange(alive.size)
 
         if not self.allow_disconnected and n > 1:
-            if any(len(adj[x]) == 0 for x in range(n)):
-                raise NetworkError("every vertex must have degree >= 1")
-            if not _connected(n, adj):
+            if not degree.all():
+                x = np.argmin(degree)
+                raise NetworkError(f"every vertex must have degree >= 1; vertex {x} has none")
+            if build_partition(n, ends.tolist()).any():
                 raise NetworkError("graph must be connected")
-        if np.any(lam[alive] <= 0):
-            raise NetworkError("total rate lambda(x) must be positive at every alive vertex")
+        if (lam[alive] <= 0).any():
+            x = int(alive[np.argmax(lam[alive] <= 0)])
+            raise NetworkError(f"total rate lambda(x) must be positive at alive vertex {x}")
+        if alive.size == 0:
+            raise NetworkError("at least one vertex must be alive")
         # transience certificate: some killing, or an absorbing boundary
-        if alive.size == n and not np.any(killing > 0):
+        if alive.size == n and not (killing > 0).any():
             raise NetworkError(
                 "killing is identically zero and no vertex is absorbing: "
                 "the walk on a finite graph would be recurrent"
             )
 
-        table = np.array(edges, dtype=float).reshape(-1, 3)
-        ends = table[:, :2].astype(np.int64)
-        conductances = table[:, 2].copy()
-        for arr in (ends, conductances):
+        for arr in (killing, ends, conductances, lam):
             arr.flags.writeable = False
-        lam.flags.writeable = False
-
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "killing", killing)
         object.__setattr__(self, "alive", alive)
         object.__setattr__(self, "alive_pos", alive_pos)
         object.__setattr__(self, "lambda_total", lam)
         object.__setattr__(self, "edge_ends", ends)
         object.__setattr__(self, "conductances", conductances)
-        object.__setattr__(self, "neighbors", tuple(tuple(a) for a in adj))
 
     # -- lookups -----------------------------------------------------------
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.conductances.size
 
     def is_absorbing(self, x: int) -> bool:
         return not math.isfinite(self.killing[x])
@@ -183,7 +195,7 @@ class Network:
     def to_dict(self) -> dict:
         doc = {
             "vertices": self.vertex_count,
-            "edges": [[u, v, c] for u, v, c in self.edges],
+            "edges": [[*e, c] for e, c in zip(self.edge_ends.tolist(), self.conductances.tolist())],
             "killing": [float(k) for k in self.killing],
         }
         if self.meta is not None:
@@ -193,28 +205,15 @@ class Network:
     @classmethod
     def from_dict(cls, doc: dict) -> "Network":
         try:
-            vertices = int(doc["vertices"])
-            edges = tuple((int(u), int(v), float(c)) for u, v, c in doc["edges"])
+            vertices = float(doc["vertices"])
+            edges = doc["edges"]
             killing = np.array([float(k) for k in doc["killing"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise NetworkError(f"malformed network document: {exc}") from exc
+        if not vertices.is_integer():
+            raise NetworkError(f"vertices must be an integer, not {doc['vertices']!r}")
         meta = doc.get("box")
-        return cls(vertices, edges, killing, meta=meta, allow_disconnected=True)
-
-
-def _connected(n: int, adj: list[list[tuple[int, float, int]]]) -> bool:
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y, _, _ in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == n
+        return cls(int(vertices), edges, killing, meta=meta, allow_disconnected=True)
 
 
 # -- lattice coordinate bijection -----------------------------------------
@@ -272,23 +271,13 @@ def build_box_network(
     if boundary_mode == "killed_uniform" and killing == 0:
         raise NetworkError("killing = 0 with no absorbing boundary gives a recurrent network")
 
-    n = half_width
-    side = 2 * n + 1
-    total = side**dimension
-
-    kappa = np.full(total, float(killing))
-    edges = []
-    for idx in range(total):
-        coords = box_vertex_coords(dimension, n, idx)
-        if boundary_mode == "absorbing" and max(abs(c) for c in coords) == n:
-            kappa[idx] = math.inf
-        if boundary_mode == "halfplane_floor" and coords[-1] == -n:
-            kappa[idx] = math.inf
-        for axis in range(dimension):
-            if coords[axis] + 1 <= n:
-                nb = list(coords)
-                nb[axis] += 1
-                edges.append((idx, box_vertex_index(dimension, n, nb), float(conductance)))
+    side = 2 * half_width + 1
+    offsets = np.indices((side,) * dimension).reshape(dimension, -1)
+    kappa = np.full(side**dimension, float(killing))
+    if boundary_mode == "absorbing":
+        kappa[np.any((offsets == 0) | (offsets == side - 1), axis=0)] = math.inf
+    if boundary_mode == "halfplane_floor":
+        kappa[offsets[-1] == 0] = math.inf
 
     meta = {
         "kind": "box",
@@ -298,31 +287,38 @@ def build_box_network(
         "killing": float(killing),
         "boundary_mode": boundary_mode,
     }
-    return Network(total, tuple(edges), kappa, meta=meta)
+    edges = _lattice_edges((side,) * dimension, range(dimension), conductance)
+    return Network(kappa.size, edges, kappa, meta=meta)
+
+
+def _lattice_edges(shape: tuple[int, ...], axes, conductance: float) -> np.ndarray:
+    """The (E, 3) edge table of the row-major lattice ``shape``: each vertex's
+    edges to its successors along ``axes``, vertex ascending, then in the
+    order of ``axes``."""
+    axes = list(axes)
+    offsets = np.indices(shape).reshape(len(shape), -1)[axes].T
+    # nonzero lists the (vertex, axis) pairs vertex-major, as wanted
+    vertex, k = np.nonzero(offsets + 1 < np.array(shape)[axes])
+    strides = np.array([math.prod(shape[a + 1 :]) for a in axes], dtype=np.int64)
+    return np.column_stack([vertex, vertex + strides[k], np.full(vertex.size, float(conductance))])
 
 
 def grid_network(rows: int, cols: int, conductance: float = 1.0, killing: float = 1.0) -> Network:
-    """Rectangular grid, row-major indexing, uniform positive killing."""
+    """Rectangular grid, row-major indexing, uniform positive killing.  Each
+    vertex lists its edge to the right before its edge down."""
     if rows < 1 or cols < 1:
         raise NetworkError("grid dimensions must be positive")
     if killing <= 0:
         raise NetworkError("grid_network needs killing > 0 for transience")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            idx = r * cols + c
-            if c + 1 < cols:
-                edges.append((idx, idx + 1, float(conductance)))
-            if r + 1 < rows:
-                edges.append((idx, idx + cols, float(conductance)))
-    return Network(rows * cols, tuple(edges), np.full(rows * cols, float(killing)))
+    edges = _lattice_edges((rows, cols), (1, 0), conductance)
+    return Network(rows * cols, edges, np.full(rows * cols, float(killing)))
 
 
 def path_network(length: int, conductance: float = 1.0, killing: float = 1.0) -> Network:
     """Path on ``length`` vertices with uniform conductance and killing."""
     if length < 2:
         raise NetworkError("path needs at least 2 vertices")
-    edges = tuple((i, i + 1, float(conductance)) for i in range(length - 1))
+    edges = _lattice_edges((length,), (0,), conductance)
     return Network(length, edges, np.full(length, float(killing)))
 
 
@@ -336,27 +332,33 @@ def modified_network(net: Network, removed_edges: Iterable) -> Network:
 
     Each removed edge ``{x, y}`` adds ``C(x, y)`` to the killing rate of both
     endpoints, so the total rate ``lambda`` is unchanged at every vertex.  The
-    result may be disconnected.  Edges may be given as ids or ``(u, v)`` pairs.
+    result may be disconnected.  Edges are given either all as ids or all as
+    ``(u, v)`` pairs.
     """
-    ids = set()
-    for e in removed_edges:
-        if isinstance(e, (tuple, list)):
-            ids.add(net.edge_id(e[0], e[1]))
-        else:
-            eid = int(e)
-            if not (0 <= eid < net.edge_count):
-                raise NetworkError(f"unknown edge id {eid}")
-            ids.add(eid)
+    malformed = "removed edges must be all edge ids or all (u, v) pairs"
+    try:
+        removed = np.asarray(list(removed_edges))
+    except ValueError as exc:  # ids mixed with pairs
+        raise NetworkError(malformed) from exc
+    if removed.size == 0:
+        removed = np.empty(0, dtype=np.int64)
+    if removed.dtype.kind not in "iu" or (removed.ndim > 1 and removed.shape[1:] != (2,)):
+        raise NetworkError(malformed)
+    if removed.ndim == 2:
+        ids = net.edge_ids(removed[:, 0], removed[:, 1])
+    else:
+        outside = (removed < 0) | (removed >= net.edge_count)
+        if outside.any():
+            raise NetworkError(f"unknown edge id {removed[np.argmax(outside)]}")
+        ids = removed
+    cut = np.zeros(net.edge_count, dtype=bool)
+    cut[ids] = True
 
+    # in edge-id order, u before v
     kappa = np.array(net.killing, dtype=float)
-    kept = []
-    for eid, (u, v, c) in enumerate(net.edges):
-        if eid in ids:
-            kappa[u] += c
-            kappa[v] += c
-        else:
-            kept.append((u, v, c))
-    return Network(net.vertex_count, tuple(kept), kappa, allow_disconnected=True)
+    np.add.at(kappa, net.edge_ends[cut].ravel(), np.repeat(net.conductances[cut], 2))
+    kept = np.column_stack([net.edge_ends[~cut], net.conductances[~cut]])
+    return Network(net.vertex_count, kept, kappa, allow_disconnected=True)
 
 
 def network_to_json(net: Network) -> str:

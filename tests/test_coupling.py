@@ -70,7 +70,7 @@ def test_structural_invariants(path3):
         assert np.array_equal(sign[base.labels], sign)
         # a traversed edge's endpoints already share a merged cluster
         for eid in np.flatnonzero(base.edges):
-            u, v, _ = net.edges[eid]
+            u, v = net.edge_ends[eid]
             assert merged.same_cluster(u, v)
 
 

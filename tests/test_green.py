@@ -135,7 +135,7 @@ def _dense_reference(net):
     the inverse's Cholesky factor: the construction the band factor replaces."""
     pos = net.alive_pos
     a = np.diag(net.lambda_total[net.alive])
-    for u, v, c in net.edges:
+    for (u, v), c in zip(net.edge_ends.tolist(), net.conductances.tolist()):
         if pos[u] >= 0 and pos[v] >= 0:
             a[pos[u], pos[v]] = a[pos[v], pos[u]] = -c
     green = np.linalg.inv(a)

@@ -91,7 +91,8 @@ def test_config_round_trip():
 def test_parse_network_spec(tmp_path):
     assert parse_network_spec("two-vertex").vertex_count == 2
     assert parse_network_spec("two-vertex:k=0.5").killing.tolist() == [0.5, 0.5]
-    assert parse_network_spec("two-vertex:c=5").edges == ((0, 1, 5.0),)
+    two = parse_network_spec("two-vertex:c=5")
+    assert two.edge_ends.tolist() == [[0, 1]] and two.conductances.tolist() == [5.0]
     assert parse_network_spec("path:4:k=2").killing[0] == 2.0
     assert parse_network_spec("grid:2x3").vertex_count == 6
     box = parse_network_spec("box:d=2,n=1,k=1,mode=killed_uniform")
@@ -101,7 +102,7 @@ def test_parse_network_spec(tmp_path):
     path = tmp_path / "net.json"
     path.write_text('{"vertices": 2, "edges": [[0, 1, 2.0]], "killing": [0.5, 0.5]}')
     from_file = parse_network_spec(str(path))
-    assert from_file.edges[0][2] == 2.0
+    assert from_file.conductances[0] == 2.0
     with pytest.raises(ConfigError):
         parse_network_spec("no-such-thing")
     with pytest.raises(ConfigError):
@@ -330,6 +331,32 @@ GRID = PARAMETER + "'lambda_grid': "
             None,
             "error: alpha must be finite and positive",
         ),
+        (["det-ratio", "--net", "two-vertex", "--edges", "abc"], None, PARAMETER + "'edges'"),
+        (["green", "--net", "path:3", "--remove", "0-x"], None, PARAMETER + "'remove'"),
+        (["interlacement", "--k", "a,b"], None, PARAMETER + "'k'"),
+        (
+            ["green", "--net", "path:3:k=inf"],
+            None,
+            NETWORK + "bad shorthand 'path:3:k=inf': at least one vertex must be alive",
+        ),
+        (
+            None,
+            {
+                "experiment": "connectivity",
+                "network": {"vertices": 2.7, "edges": [[0, 1, 1.0]], "killing": [1, 1]},
+                "parameters": {"x": 0, "y": 1},
+            },
+            "error: vertices must be an integer",
+        ),
+        (
+            None,
+            {
+                "experiment": "connectivity",
+                "network": {"vertices": 2, "edges": [[0.5, 1, 1.0]], "killing": [1, 1]},
+                "parameters": {"x": 0, "y": 1},
+            },
+            "error: edge (0.5, 1) needs integer ends",
+        ),
     ],
     ids=[
         "vertex-out-of-range",
@@ -376,6 +403,12 @@ GRID = PARAMETER + "'lambda_grid': "
         "levelset-infinite-u",
         "occupation-infinite-alpha",
         "sample-loops-nan-alpha",
+        "det-ratio-edges-not-a-number",
+        "green-remove-not-a-number",
+        "interlacement-k-not-a-number",
+        "green-no-alive-vertex",
+        "network-non-integral-vertices",
+        "network-non-integral-edge-end",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config, message):

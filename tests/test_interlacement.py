@@ -15,6 +15,7 @@ from loopfield import (
 )
 from loopfield.clusters import UnionFind
 from loopfield.interlacement import (
+    _slot_tables,
     levelset_field,
     star_excursion_batch,
     trace_occupation_batch,
@@ -39,6 +40,13 @@ def test_star_graph_rate():
         star = build_star_graph(d, n)
         assert star.star_rate == 2 * d * (2 * n - 1) ** (d - 1)
         assert star.entry_vertices.size == star.star_rate
+        # each entry edge joins the boundary to its entry vertex, in edge-id order
+        net = star.network
+        assert np.all(np.diff(star.entry_edges) > 0)
+        for eid, x in zip(star.entry_edges.tolist(), star.entry_vertices.tolist()):
+            a, b = net.edge_ends[eid].tolist()
+            assert net.is_absorbing(a) != net.is_absorbing(b)
+            assert x in (a, b) and not net.is_absorbing(x)
 
 
 def test_capacity_single_vertex_inverse_green(box3):
@@ -80,7 +88,7 @@ def _escape_weights(net, k_ids):
     system of the jump chain, dense: the route that does not use G."""
     alive = [int(x) for x in net.alive]
     jump = np.zeros((net.vertex_count, net.vertex_count))
-    for u, v, c in net.edges:
+    for (u, v), c in zip(net.edge_ends.tolist(), net.conductances.tolist()):
         jump[u, v] = c / net.lambda_total[u]
         jump[v, u] = c / net.lambda_total[v]
     outside = [x for x in alive if x not in k_ids]
@@ -205,11 +213,25 @@ def test_two_samplers_agree(box3):
 
 
 def test_batch_walker_requires_uniform_unit_box():
-    net = two_vertex_network()
-    from loopfield.interlacement import _slot_tables
+    with pytest.raises(NetworkError, match="zero interior killing"):
+        _slot_tables(two_vertex_network())
+    with pytest.raises(NetworkError, match="unit conductances"):
+        _slot_tables(build_box_network(2, 2, 1.5, 0.0, "absorbing"))
 
-    with pytest.raises(NetworkError):
-        _slot_tables(net)
+
+def test_slot_tables_in_edge_id_order():
+    # the slot draw integers(0, 2d) indexes a vertex's edges in edge-id order,
+    # not in neighbour order: at the centre of the d=2, n=2 box, 17 before 13
+    net = build_box_network(2, 2, 1.0, 0.0, "absorbing")
+    target, edge, two_d = _slot_tables(net)
+    centre = net.alive_pos[12]
+    assert two_d == 4
+    assert net.alive[target[centre]].tolist() == [7, 11, 17, 13]
+    assert edge[centre].tolist() == [13, 21, 22, 23]
+    assert edge[centre].tolist() == net.edge_ids([12] * 4, [7, 11, 17, 13]).tolist()
+    # a neighbour in the absorbing boundary has no alive position
+    corner = net.alive_pos[6]
+    assert target[corner].tolist() == [-1, -1, net.alive_pos[11], net.alive_pos[7]]
 
 
 def test_isomorphism_check_passes():
@@ -263,7 +285,7 @@ def _levelset_reference(star, u, replicas, seed):
         uf = UnionFind(net.vertex_count)
         for x in absorbing[1:]:
             uf.union(absorbing[0], x)
-        for eid, (a, b, c) in enumerate(net.edges):
+        for eid, ((a, b), c) in enumerate(zip(net.edge_ends.tolist(), net.conductances.tolist())):
             if edge_hit[r, eid]:
                 uf.union(a, b)
             elif not (net.is_absorbing(a) and net.is_absorbing(b)):

@@ -205,7 +205,7 @@ def _reference_sampler(net, alpha, cutoff):
     lam = net.lambda_total[alive]
     n = alive.size
     p = np.zeros((n, n))
-    for u, v, c in net.edges:
+    for (u, v), c in zip(net.edge_ends.tolist(), net.conductances.tolist()):
         if pos[u] >= 0 and pos[v] >= 0:
             p[pos[u], pos[v]] = c / lam[pos[u]]
             p[pos[v], pos[u]] = c / lam[pos[v]]

@@ -7,6 +7,7 @@ from loopfield import (
     Network,
     NetworkError,
     build_box_network,
+    grid_network,
     modified_network,
     network_from_json,
     network_to_json,
@@ -44,6 +45,8 @@ def test_transience_certificate():
         build_box_network(2, 1, 1.0, 0.0, "killed_uniform")
     # absorbing boundary certifies transience with zero interior killing
     build_box_network(2, 1, 1.0, 0.0, "absorbing")
+    with pytest.raises(NetworkError, match="at least one vertex must be alive"):
+        path_network(3, killing=math.inf)
 
 
 def test_rejects_bad_edges():
@@ -55,6 +58,42 @@ def test_rejects_bad_edges():
         Network(2, ((0, 1, -1.0),), np.ones(2))
     with pytest.raises(NetworkError):
         Network(3, ((0, 1, 1.0),), np.ones(3))  # disconnected vertex 2
+    with pytest.raises(NetworkError, match="graph must be connected"):
+        Network(4, ((0, 1, 1.0), (2, 3, 1.0)), np.ones(4))
+    # each check names the first offending edge, in edge-id order
+    with pytest.raises(NetworkError, match=r"edge \(3, 5\) out of range"):
+        Network(4, ((0, 1, 1.0), (3, 5, 1.0), (1, 1, 1.0)), np.ones(4))
+    with pytest.raises(NetworkError, match=r"parallel edge \(0, 1\)"):
+        Network(3, ((0, 1, 1.0), (1, 2, 1.0), (1, 0, 2.0), (2, 2, 1.0)), np.ones(3))
+    with pytest.raises(NetworkError, match=r"edge \(0, 2\) needs finite conductance"):
+        Network(3, ((0, 1, 1.0), (0, 2, math.nan)), np.ones(3))
+    with pytest.raises(NetworkError, match="edges must be"):
+        Network(2, ((0, 1),), np.ones(2))
+
+
+def test_rejects_non_integral_vertices():
+    doc = {"vertices": 2, "edges": [[0, 1, 1.0]], "killing": [1.0, 1.0]}
+    # integral floats are integers
+    assert Network.from_dict({**doc, "vertices": 2.0}).vertex_count == 2
+    assert Network.from_dict({**doc, "edges": [[0.0, 1.0, 1.0]]}).edge_ends.tolist() == [[0, 1]]
+    with pytest.raises(NetworkError, match="vertices must be an integer"):
+        Network.from_dict({**doc, "vertices": 2.7})
+    with pytest.raises(NetworkError, match=r"edge \(0.5, 1\) needs integer ends"):
+        Network.from_dict({**doc, "edges": [[0.5, 1, 1.0]]})
+
+
+def test_lattice_edges_in_edge_id_order():
+    # vertex ascending, then axis ascending: the walker's slot order
+    box = build_box_network(2, 1, 1.0, 0.5, "killed_uniform")
+    assert box.edge_ends.tolist() == [
+        [0, 3], [0, 1], [1, 4], [1, 2], [2, 5], [3, 6],
+        [3, 4], [4, 7], [4, 5], [5, 8], [6, 7], [7, 8],
+    ]
+    # the grid lists each vertex's edge to the right before its edge down
+    grid = grid_network(2, 3)
+    assert grid.edge_ends.tolist() == [[0, 1], [0, 3], [1, 2], [1, 4], [2, 5], [3, 4], [4, 5]]
+    assert path_network(4, 0.5).edge_ends.tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert path_network(4, 0.5).conductances.tolist() == [0.5, 0.5, 0.5]
 
 
 def test_edge_ids_match_edge_list():
@@ -87,12 +126,14 @@ def test_modified_network_two_vertex():
 def test_modified_network_identity_and_path():
     net = path_network(3)
     same = modified_network(net, [])
-    assert same.edges == net.edges
+    assert np.array_equal(same.edge_ends, net.edge_ends)
+    assert np.array_equal(same.conductances, net.conductances)
     assert np.allclose(same.killing, net.killing)
 
     cut = modified_network(net, [(0, 1)])
     assert np.allclose(cut.killing, [2.0, 2.0, 1.0])
-    assert cut.edges == ((1, 2, 1.0),)
+    assert cut.edge_ends.tolist() == [[1, 2]]
+    assert cut.conductances.tolist() == [1.0]
     assert np.allclose(cut.lambda_total, net.lambda_total)
 
     with pytest.raises(NetworkError):
@@ -111,14 +152,28 @@ def test_jump_probabilities_sum_to_one():
         kappa = rng.uniform(0.1, 2.0, n)
         net = Network(n, tuple(edges), kappa)
         for x in range(n):
-            total = sum(c for _, c, _ in net.neighbors[x]) + kappa[x]
-            probs = sum(c / net.lambda_total[x] for _, c, _ in net.neighbors[x])
+            # the conductances at x in edge-id order, summed in that order
+            at_x = net.conductances[(net.edge_ends == x).any(axis=1)].tolist()
+            total = sum(at_x) + kappa[x]
+            probs = sum(c / net.lambda_total[x] for c in at_x)
             assert probs + kappa[x] / net.lambda_total[x] == pytest.approx(1.0, abs=1e-12)
-            assert net.lambda_total[x] == pytest.approx(total, abs=1e-12)
+            assert net.lambda_total[x] == total
 
         # removing any one edge moves conductance to killing, lambda unchanged
         cut = modified_network(net, [0])
         assert np.allclose(cut.lambda_total, net.lambda_total, atol=1e-12)
+
+
+def test_lambda_sums_in_edge_id_order():
+    # vertex 1 is the u-end of edges 0 and 2 and the v-end of edge 1: summing
+    # its u-ends first would give (0.1 + 0.6) + 0.2, which differs in the last bit
+    net = Network(4, ((1, 2, 0.1), (0, 1, 0.2), (1, 3, 0.6)), np.array([1.0, 0.0, 1.0, 1.0]))
+    assert net.lambda_total[1] == (0.1 + 0.2) + 0.6
+    assert net.lambda_total[1] != (0.1 + 0.6) + 0.2
+    # removed conductances join the killing in edge-id order, u before v
+    cut = modified_network(net, [2, 0, 1])
+    assert cut.edge_count == 0
+    assert cut.killing[1] == (0.1 + 0.2) + 0.6
 
 
 def test_json_round_trip_exact():
@@ -126,7 +181,8 @@ def test_json_round_trip_exact():
                   allow_disconnected=True)
     back = network_from_json(network_to_json(net))
     assert back.vertex_count == net.vertex_count
-    assert back.edges == net.edges  # exact float round trip
+    assert np.array_equal(back.edge_ends, net.edge_ends)
+    assert np.array_equal(back.conductances, net.conductances)  # exact float round trip
     assert back.killing[0] == net.killing[0]
     assert math.isinf(back.killing[1])
     assert back.killing[2] == net.killing[2]
