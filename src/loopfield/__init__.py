@@ -21,16 +21,13 @@ from .green import (
     sqrt_det_ratio,
 )
 from .gff import (
-    FieldSample,
     sample_gff,
     sample_edge_configuration,
     connectivity_probability,
     cluster_edges,
 )
 from .loopsoup import (
-    LoopSkeleton,
     LoopSoupSample,
-    OccupationField,
     LoopSoupSampler,
     occupation_field,
     traversed_edges,

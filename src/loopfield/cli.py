@@ -199,7 +199,7 @@ def _dispatch(args) -> int:
         header = "replica," + ",".join(f"phi_{x}" for x in range(net.vertex_count))
 
         def row(r, rng):
-            return f"{r}," + ",".join(_fmt(v) for v in sample_gff(gop, rng).values)
+            return f"{r}," + ",".join(_fmt(v) for v in sample_gff(gop, rng))
 
         _emit([header] + replicate(args.replicas, args.seed, row), args.out)
         return 0
@@ -216,11 +216,10 @@ def _dispatch(args) -> int:
 
         def row(r, rng):
             soup = sampler.sample(rng)
-            occ = occupation_field(soup)
             n_clusters = loop_clusters(soup, net).cluster_count
             return (
-                f"{r},{len(soup.loops)},"
-                + ",".join(_fmt(v) for v in occ.values)
+                f"{r},{soup.starts.size - 1},"
+                + ",".join(_fmt(v) for v in occupation_field(soup))
                 + f",{n_clusters}"
             )
 

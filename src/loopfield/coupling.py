@@ -20,15 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import ClusterPartition
-from .gff import FieldSample, cable_open_probability, cluster_edges
+from .gff import cable_open_probability, cluster_edges
 from .green import GreenOperator, normalized_green
-from .loopsoup import (
-    LoopSoupSample,
-    LoopSoupSampler,
-    OccupationField,
-    loop_clusters,
-    occupation_field,
-)
+from .loopsoup import LoopSoupSample, LoopSoupSampler, loop_clusters, occupation_field
 from .network import Network
 from .stats import TestRecord, ks_record, mc_mean, normal_cdf, z_record
 from .streams import replicate
@@ -45,7 +39,8 @@ COUPLING_ALPHA = 0.5
 
 @dataclass(frozen=True, eq=False)
 class CoupledSample:
-    """Soup, its loop clusters, the merged sign clusters and the field.
+    """Soup, its occupation field, its loop clusters, the merged sign clusters
+    and the free field; ``occupation`` and ``field`` are values per vertex.
 
     ``base_clusters.edges`` are the loop-traversed edges and
     ``merged_clusters.edges`` the open ones, so the edges the coupling opened
@@ -54,10 +49,10 @@ class CoupledSample:
     """
 
     soup: LoopSoupSample
-    occupation: OccupationField
+    occupation: np.ndarray
     base_clusters: ClusterPartition
     merged_clusters: ClusterPartition
-    field: FieldSample
+    field: np.ndarray
 
 
 def couple(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> CoupledSample:
@@ -78,7 +73,7 @@ def couple(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> Coup
     candidates = np.flatnonzero(~base.edges)
     # one array call over every edge; only the candidates' entries are used
     a, b = net.edge_ends.T
-    probs = cable_open_probability(net.conductances, np.sqrt(occ.values[a] * occ.values[b]))
+    probs = cable_open_probability(net.conductances, np.sqrt(occ[a] * occ[b]))
     is_open = base.edges.copy()
     is_open[candidates[rng.random(candidates.size) < probs[candidates]]] = True
     merged = cluster_edges(is_open, net)
@@ -89,9 +84,9 @@ def couple(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> Coup
 
     alive = net.alive
     values = np.zeros(net.vertex_count)
-    values[alive] = vertex_sign[merged.labels[alive]] * np.sqrt(2.0 * occ.values[alive])
+    values[alive] = vertex_sign[merged.labels[alive]] * np.sqrt(2.0 * occ[alive])
 
-    return CoupledSample(soup, occ, base, merged, FieldSample(values))
+    return CoupledSample(soup, occ, base, merged, values)
 
 
 def collect_coupled_fields(
@@ -109,9 +104,9 @@ def collect_coupled_fields(
         coupled = couple(net, sampler.sample(rng), rng)
         # each cluster label is a vertex of its cluster, so the sign is constant on
         # every cluster exactly when each vertex agrees with its label vertex
-        sign = np.sign(coupled.field.values)
+        sign = np.sign(coupled.field)
         broken = bool((sign != sign[coupled.base_clusters.labels]).any())
-        return coupled.field.values[net.alive], broken
+        return coupled.field[net.alive], broken
 
     results = replicate(replicas, seed, one)
     return np.array([f for f, _ in results]), sum(bad for _, bad in results)

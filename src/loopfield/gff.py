@@ -12,7 +12,6 @@ with probability ``(2 / pi) arcsin(g(x, y))`` exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .green import GreenOperator, normalized_green
 from .network import Network
 
 __all__ = [
-    "FieldSample",
     "sample_gff",
     "sample_edge_configuration",
     "cable_open_probability",
@@ -30,30 +28,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    """Field values per vertex; zero at absorbing vertices."""
-
-    values: np.ndarray
-
-
 def sample_gff(
     gop: GreenOperator,
     rng: np.random.Generator | None = None,
     *,
     normals: np.ndarray | None = None,
-) -> FieldSample:
-    """Draw one free field: ``phi = chol(G) z`` with z standard normal.
+) -> np.ndarray:
+    """Draw one free field: ``phi = chol(G) z`` with z standard normal; the
+    values per vertex, zero at absorbing vertices.
 
     Given ``normals`` instead of ``rng``, a ``(..., alive count)`` block of
     the draws ``rng`` would make (one row per replica), the fields of all rows
-    come from one solve; values then have shape ``(..., vertex_count)``.
+    come from one solve; the result then has shape ``(..., vertex_count)``.
     """
     net = gop.network
     z = rng.standard_normal(net.alive.size) if normals is None else normals
     values = np.zeros(z.shape[:-1] + (net.vertex_count,))
     values[..., net.alive] = gop.apply_chol(z)
-    return FieldSample(values)
+    return values
 
 
 def cable_open_probability(conductance, product):
@@ -69,20 +61,20 @@ def cable_open_probability(conductance, product):
 
 
 def sample_edge_configuration(
-    field: FieldSample,
+    phi: np.ndarray,
     net: Network,
     rng: np.random.Generator | None = None,
     *,
     uniforms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Open each edge independently given the field; the boolean open mask.
+    """Open each edge independently given the field ``phi`` (values per
+    vertex); the boolean open mask.
 
     One uniform draw is consumed per edge, in edge-id order, so the
     configuration is reproducible for a fixed stream.  Given ``uniforms``
     instead of ``rng``, a ``(..., edge_count)`` block of those draws with a
     field block of the same leading shape, every row is opened at once.
     """
-    phi = field.values
     a, b = net.edge_ends.T
     probs = cable_open_probability(net.conductances, phi[..., a] * phi[..., b])
     draws = rng.random(net.edge_count) if uniforms is None else uniforms

@@ -281,6 +281,14 @@ def _param(cfg: ExperimentConfig, name: str, convert, default=_REQUIRED):
         raise ConfigError(f"parameter {name!r}: bad value {value!r} ({exc})") from exc
 
 
+def _integer(value) -> int:
+    """``value`` as an int: an integral float such as ``2.0`` is accepted, a
+    fractional one is rejected rather than truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("must be an integer")
+    return int(value)
+
+
 def _positive(convert):
     """``convert`` followed by a check that the value is finite and > 0."""
 
@@ -294,7 +302,7 @@ def _positive(convert):
 
 
 def _vertex(cfg: ExperimentConfig, net: Network, name: str) -> int:
-    x = _param(cfg, name, int)
+    x = _param(cfg, name, _integer)
     if not 0 <= x < net.vertex_count:
         raise ConfigError(
             f"parameter {name!r}: vertex {x} outside the network's {net.vertex_count} vertices"
@@ -343,7 +351,7 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
 
 def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
-    edges = _param(cfg, "edges", lambda v: [(int(a), int(b)) for a, b in v])
+    edges = _param(cfg, "edges", lambda v: [(_integer(a), _integer(b)) for a, b in v])
     gop = compute_green(net)
     edge_ids = sorted(net.edge_id(u, v) for u, v in edges)
     exact = sqrt_det_ratio(net, edge_ids)
@@ -378,7 +386,7 @@ def _exp_occupation(cfg: ExperimentConfig) -> list[TestRecord]:
     alive = net.alive
 
     def one(_i, rng):
-        return occupation_field(sampler.sample(rng)).values[alive]
+        return occupation_field(sampler.sample(rng))[alive]
 
     occ = np.array(replicate(cfg.replicas, cfg.seed, one))
 
@@ -463,13 +471,13 @@ def _exp_bridge(cfg: ExperimentConfig) -> list[TestRecord]:
 
 
 def _exp_interlacement(cfg: ExperimentConfig) -> list[TestRecord]:
-    d = _param(cfg, "d", _positive(int), 3)
-    n = _param(cfg, "n", _positive(int), 6)
+    d = _param(cfg, "d", _positive(_integer), 3)
+    n = _param(cfg, "n", _positive(_integer), 6)
     u = _param(cfg, "u", _positive(float), 0.25)
-    coords = _param(cfg, "k", lambda v: [[int(c) for c in point] for point in v], [[0] * d])
+    coords = _param(cfg, "k", lambda v: [[_integer(c) for c in point] for point in v], [[0] * d])
     if any(len(point) != d for point in coords):
         raise ConfigError(f"parameter 'k': every point needs {d} coordinates")
-    star_replicas = _param(cfg, "star_replicas", int, max(cfg.replicas // 4, 1))
+    star_replicas = _param(cfg, "star_replicas", _positive(_integer), max(cfg.replicas // 4, 1))
 
     net = build_box_network(d, n, 1.0, 0.0, "absorbing")
     k_ids = [box_vertex_index(d, n, c) for c in coords]
@@ -529,16 +537,16 @@ def _exp_interlacement(cfg: ExperimentConfig) -> list[TestRecord]:
 
 
 def _exp_isomorphism(cfg: ExperimentConfig) -> list[TestRecord]:
-    d = _param(cfg, "d", _positive(int), 2)
-    n = _param(cfg, "n", _positive(int), 5)
+    d = _param(cfg, "d", _positive(_integer), 2)
+    n = _param(cfg, "n", _positive(_integer), 5)
     u = _param(cfg, "u", _positive(float), 0.5)
     star = build_star_graph(d, n)
     return isomorphism_check(star, u, cfg.replicas, cfg.seed)
 
 
 def _exp_levelset(cfg: ExperimentConfig) -> list[TestRecord]:
-    d = _param(cfg, "d", _positive(int), 2)
-    n = _param(cfg, "n", _positive(int), 5)
+    d = _param(cfg, "d", _positive(_integer), 2)
+    n = _param(cfg, "n", _positive(_integer), 5)
     u = _param(cfg, "u", _positive(float), 1.0)
     star = build_star_graph(d, n)
     return levelset_containment_check(star, u, cfg.replicas, cfg.seed)

@@ -20,6 +20,16 @@ reference.
 Sampling rooted loops with the 1/n weight already reproduces the unrooted
 loop mass; rotations are not deduplicated because every statistic computed
 here (occupation, clusters, traversed edges) is rotation invariant.
+
+A sample is five flat arrays (``LoopSoupSample``): ``vertices``, the network
+vertex ids of all loops concatenated; ``starts``, the loop offsets in CSR
+style (loop i is ``vertices[starts[i]:starts[i + 1]]``, ``starts[0] == 0``,
+``starts[-1] == vertices.size``); ``holds``, the holding time of each visit,
+aligned with ``vertices``; ``trivial_occupation``, per vertex; and ``alpha``.
+A draw consumes, in this order: one Poisson loop count; per loop, one uniform
+for its length, ``length`` uniforms (the root, then one per step) and
+``length`` standard exponentials (the holds); then one standard Gamma per
+alive vertex (the trivial occupation).
 """
 
 from __future__ import annotations
@@ -36,9 +46,7 @@ from .green import GreenOperator
 from .network import Network
 
 __all__ = [
-    "LoopSkeleton",
     "LoopSoupSample",
-    "OccupationField",
     "LoopSoupSampler",
     "occupation_field",
     "traversed_edges",
@@ -46,38 +54,35 @@ __all__ = [
 ]
 
 MAX_LENGTH_CUTOFF = 100_000
-
-
-@dataclass(frozen=True, eq=False)
-class LoopSkeleton:
-    """Cyclic vertex sequence of a discrete loop; consecutive entries
-    (including last to first) are adjacent in the network."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+# the discarded tail of the length law has mass below this fraction of the total
+LENGTH_CUTOFF_EPS = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class LoopSoupSample:
     """One realization of the soup: decorated loops plus trivial occupation.
 
-    ``loops`` pairs each skeleton with its per-visit holding times.
+    Loop i visits ``vertices[starts[i]:starts[i + 1]]`` in order, each
+    consecutive pair (and last to first) adjacent in the network, and holds
+    ``holds[starts[i]:starts[i + 1]]`` at those visits.
     ``trivial_occupation`` holds the Gamma-distributed total duration of the
     one-point loops at each vertex.
     """
 
-    loops: tuple[tuple[LoopSkeleton, np.ndarray], ...]
+    vertices: np.ndarray
+    starts: np.ndarray
+    holds: np.ndarray
     trivial_occupation: np.ndarray
     alpha: float
 
-
-@dataclass(frozen=True, eq=False)
-class OccupationField:
-    """Total time the soup spends at each vertex."""
-
-    values: np.ndarray
+    @property
+    def loops(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per-loop ``(vertices, holds)`` views.  The benchmark's tracer reads
+        loop lengths from them; no code in the package does."""
+        bounds = self.starts.tolist()
+        return tuple(
+            (self.vertices[a:b], self.holds[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        )
 
 
 class LoopSoupSampler:
@@ -87,26 +92,17 @@ class LoopSoupSampler:
     diagonals of the jump-matrix powers ``P^k``, ``k <= cutoff``, iterated one
     sparse product at a time; no power is kept.  The cutoff is chosen so that
     the discarded tail of the length law has mass below
-    ``length_cutoff_eps * m``, using the geometric bound
+    ``LENGTH_CUTOFF_EPS * m``, using the geometric bound
     ``tr(P^n) <= N rho^n`` with ``rho`` the spectral radius.  Each skeleton is
     filled in from the root's columns ``P^m e_root``, recomputed per loop by
     sparse mat-vecs.
     """
 
-    def __init__(
-        self,
-        net: Network,
-        gop: GreenOperator,
-        alpha: float,
-        length_cutoff_eps: float = 1e-9,
-    ):
+    def __init__(self, net: Network, gop: GreenOperator, alpha: float):
         if not 0 < alpha < math.inf:
             raise ValueError("alpha must be finite and positive")
-        if not (0 < length_cutoff_eps < 1):
-            raise ValueError("length_cutoff_eps must lie in (0, 1)")
         self.network = net
         self.alpha = float(alpha)
-        self.length_cutoff_eps = float(length_cutoff_eps)
 
         alive = net.alive
         lam = net.lambda_total[alive]
@@ -135,7 +131,6 @@ class LoopSoupSampler:
             self.mass = 0.0
             self.length_cutoff = 1
             self.truncated_tail = 0.0
-            self._length_values = np.empty(0, dtype=int)
             self._length_cdf = np.empty(0)
             self._root_cdfs = {}
             return
@@ -155,7 +150,7 @@ class LoopSoupSampler:
         cutoff = 2
         while (
             n * radius ** (cutoff + 1) / ((cutoff + 1) * (1.0 - radius))
-            >= length_cutoff_eps * self.mass
+            >= LENGTH_CUTOFF_EPS * self.mass
         ):
             cutoff += 1
             if cutoff > MAX_LENGTH_CUTOFF:
@@ -175,7 +170,6 @@ class LoopSoupSampler:
         q = np.clip(q, 0.0, None)
         total = float(q.sum())
         self.truncated_tail = max(self.mass - total, 0.0)
-        self._length_values = np.arange(2, cutoff + 1)
         self._length_cdf = np.cumsum(q) / total
 
     def _sample_skeleton(self, length: int, rng: np.random.Generator) -> np.ndarray:
@@ -204,43 +198,49 @@ class LoopSoupSampler:
 
     def sample(self, rng: np.random.Generator) -> LoopSoupSample:
         net = self.network
-        loops = []
+        lam = self._lambda_alive
+        positions, holds, starts = [], [], [0]
         if self.mass > 0:
             count = int(rng.poisson(self.alpha * self.mass))
+            longest = self._length_cdf.size - 1
             for _ in range(count):
                 pick = int(self._length_cdf.searchsorted(rng.random(), side="right"))
-                pick = min(pick, self._length_values.size - 1)
-                length = int(self._length_values[pick])
+                length = min(pick, longest) + 2
                 verts = self._sample_skeleton(length, rng)
+                positions.append(verts)
                 # scale * standard draw is how numpy computes exponential(scale),
                 # bit for bit, without its slow broadcasting path
-                holds = rng.standard_exponential(length) * (1.0 / self._lambda_alive[verts])
-                skeleton = LoopSkeleton(tuple(int(g) for g in net.alive[verts]))
-                loops.append((skeleton, holds))
+                holds.append(rng.standard_exponential(length) * (1.0 / lam[verts]))
+                starts.append(starts[-1] + length)
         trivial = np.zeros(net.vertex_count)
-        lam = self._lambda_alive
         trivial[net.alive] = rng.standard_gamma(self.alpha, size=lam.size) * (1.0 / lam)
-        return LoopSoupSample(tuple(loops), trivial, self.alpha)
+        if positions:
+            vertices, holds = net.alive[np.concatenate(positions)], np.concatenate(holds)
+        else:
+            vertices, holds = np.empty(0, dtype=np.int64), np.empty(0)
+        starts = np.array(starts, dtype=np.int64)
+        return LoopSoupSample(vertices, starts, holds, trivial, self.alpha)
 
 
-def occupation_field(sample: LoopSoupSample) -> OccupationField:
-    """Sum holding times at each vertex, trivial loops included."""
+def occupation_field(sample: LoopSoupSample) -> np.ndarray:
+    """Total time the soup spends at each vertex, trivial loops included."""
     values = sample.trivial_occupation.copy()
-    for skeleton, holds in sample.loops:
-        np.add.at(values, np.asarray(skeleton.vertices), holds)
-    return OccupationField(values)
+    # add.at sums in visit order, loop after loop
+    np.add.at(values, sample.vertices, sample.holds)
+    return values
 
 
 def traversed_edges(sample: LoopSoupSample, net: Network) -> np.ndarray:
     """Boolean mask of the edges crossed by some loop, including each loop's
     closing step from its last vertex back to its first."""
+    verts, starts = sample.vertices, sample.starts
     crossed = np.zeros(net.edge_count, dtype=bool)
-    if sample.loops:
-        here = np.concatenate([skeleton.vertices for skeleton, _ in sample.loops])
-        there = np.concatenate(
-            [skeleton.vertices[1:] + skeleton.vertices[:1] for skeleton, _ in sample.loops]
-        )
-        crossed[net.edge_ids(here, there)] = True
+    # most soups on small networks are empty; skip the lookup for those
+    if verts.size:
+        # position of the next visit in the same loop; a loop's last visit steps to its first
+        nxt = np.arange(1, verts.size + 1)
+        nxt[starts[1:] - 1] = starts[:-1]
+        crossed[net.edge_ids(verts, verts[nxt])] = True
     return crossed
 
 

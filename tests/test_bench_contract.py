@@ -14,6 +14,8 @@ import pytest
 
 from loopfield.green import compute_green
 from loopfield.harness import parse_network_spec
+from loopfield.loopsoup import LoopSoupSampler
+from loopfield.streams import derive_stream
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -55,3 +57,15 @@ def test_green_operator_reports_its_size():
     # bench/tracer.py reads green.alive_n_max from the energy form's shape
     net = parse_network_spec("box:d=2,n=3,mode=absorbing")
     assert compute_green(net).matrix_a.shape[0] == net.alive.size == 25
+
+
+def test_tracer_counts_loops_of_a_soup():
+    # bench/tracer.py reads loopsoup.loops and loopsoup.loop_steps from each sample
+    net = parse_network_spec("grid:3x3")
+    sampler = LoopSoupSampler(net, compute_green(net), 0.5)
+    soup = sampler.sample(derive_stream(1, 8))
+    assert soup.starts.size - 1 == 2  # a replica with two loops
+    tracer = _load("tracer").Tracer()
+    tracer._after_sample((sampler,), soup)
+    assert tracer.loops == soup.starts.size - 1
+    assert tracer.loop_steps == soup.vertices.size

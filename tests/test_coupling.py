@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from loopfield import (
-    LoopSkeleton,
     LoopSoupSample,
     LoopSoupSampler,
     Network,
@@ -38,15 +37,14 @@ def test_opening_probability_values():
 def test_zero_occupation_edge_never_opens(path3):
     net, _ = path3
     # handcrafted soup: occupation zero at vertex 2, so edge {1,2} stays closed
+    # one loop 0 -> 1 -> 0
     soup = LoopSoupSample(
-        ((LoopSkeleton((0, 1)), np.array([0.3, 0.2])),),
-        np.array([0.1, 0.05, 0.0]),
-        0.5,
+        np.array([0, 1]), np.array([0, 2]), np.array([0.3, 0.2]), np.array([0.1, 0.05, 0.0]), 0.5
     )
     for r in range(500):
         coupled = couple(net, soup, derive_stream(52, r))
         assert not coupled.merged_clusters.edges[net.edge_id(1, 2)]
-        assert coupled.field.values[2] == 0.0
+        assert coupled.field[2] == 0.0
 
 
 def test_structural_invariants(path3):
@@ -59,14 +57,12 @@ def test_structural_invariants(path3):
         # loop-traversed edges stay open: the coupling only adds edges
         assert not (base.edges & ~merged.edges).any()
         # field magnitude is sqrt(2 occupation) everywhere
-        assert np.allclose(
-            np.abs(coupled.field.values), np.sqrt(2.0 * coupled.occupation.values)
-        )
+        assert np.allclose(np.abs(coupled.field), np.sqrt(2.0 * coupled.occupation))
         # base clusters refine merged clusters: every vertex shares its merged
         # cluster with the label vertex of its loop cluster
         assert np.array_equal(merged.labels[base.labels], merged.labels)
         # sign constant on every loop cluster
-        sign = np.sign(coupled.field.values)
+        sign = np.sign(coupled.field)
         assert np.array_equal(sign[base.labels], sign)
         # a traversed edge's endpoints already share a merged cluster
         for eid in np.flatnonzero(base.edges):
@@ -129,11 +125,11 @@ def test_coupling_determinism(two_vertex):
         return couple(net, sampler.sample(rng), rng)
 
     a, b = one(), one()
-    assert np.array_equal(a.field.values, b.field.values)
+    assert np.array_equal(a.field, b.field)
     assert np.array_equal(a.merged_clusters.edges, b.merged_clusters.edges)
     # the same clusters with the same signs
     assert np.array_equal(a.merged_clusters.labels, b.merged_clusters.labels)
-    assert np.array_equal(np.sign(a.field.values), np.sign(b.field.values))
+    assert np.array_equal(np.sign(a.field), np.sign(b.field))
 
 
 def _reference_couple(net, soup, rng):
@@ -141,11 +137,12 @@ def _reference_couple(net, soup, rng):
     the loop steps, one uniform per untraversed edge in edge-id order, then
     one sign per merged cluster in ``sorted(members)`` order.  Returns the
     field and the open-edge mask."""
-    occ = occupation_field(soup).values
+    occ = occupation_field(soup)
     uf = UnionFind(net.vertex_count)
     traversed = set()
-    for skeleton, _ in soup.loops:
-        verts = skeleton.vertices
+    bounds = soup.starts.tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        verts = soup.vertices[a:b].tolist()
         for i in range(len(verts)):
             u, v = verts[i], verts[(i + 1) % len(verts)]
             uf.union(u, v)
@@ -179,5 +176,5 @@ def test_couple_equals_dict_reference(spec):
         soup = sampler.sample(derive_stream(59, r))
         coupled = couple(net, soup, derive_stream(60, r))
         values, is_open = _reference_couple(net, soup, derive_stream(60, r))
-        assert np.array_equal(coupled.field.values, values)
+        assert np.array_equal(coupled.field, values)
         assert np.array_equal(coupled.merged_clusters.edges, is_open)

@@ -357,6 +357,11 @@ GRID = PARAMETER + "'lambda_grid': "
             },
             "error: edge (0.5, 1) needs integer ends",
         ),
+        (
+            None,
+            {"experiment": "connectivity", "network": "path:3", "parameters": {"x": 0.7, "y": 2}},
+            PARAMETER + "'x': bad value 0.7 (must be an integer)",
+        ),
     ],
     ids=[
         "vertex-out-of-range",
@@ -409,6 +414,7 @@ GRID = PARAMETER + "'lambda_grid': "
         "green-no-alive-vertex",
         "network-non-integral-vertices",
         "network-non-integral-edge-end",
+        "connectivity-non-integral-x",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config, message):
@@ -428,6 +434,7 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config, message):
     "experiment, name, value",
     [
         ("interlacement", "u", -0.5),
+        ("interlacement", "star_replicas", 0),
         ("isomorphism-check", "u", 0.0),
         ("levelset-check", "d", 0),
         ("levelset-check", "n", -1),
@@ -440,6 +447,41 @@ def test_parameter_ranges_name_the_parameter(experiment, name, value):
     cfg = ExperimentConfig(experiment, seed=1, network=network, parameters={name: value})
     with pytest.raises(ConfigError, match=f"parameter '{name}'.*must be positive"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "experiment, parameters, name",
+    [
+        ("connectivity", {"x": 0.7, "y": 2}, "x"),
+        ("connectivity", {"x": 0, "y": 2.9}, "y"),
+        ("det-ratio", {"edges": [[0.5, 1.2]]}, "edges"),
+        ("interlacement", {"d": 2.5}, "d"),
+        ("interlacement", {"n": 4.5}, "n"),
+        ("interlacement", {"d": 2, "k": [[0, 0.5]]}, "k"),
+        ("interlacement", {"star_replicas": 10.5}, "star_replicas"),
+        ("isomorphism-check", {"d": 1.5}, "d"),
+        ("levelset-check", {"n": 3.9, "d": 2}, "n"),
+        ("levelset-check", {"n": 3, "d": 2.2}, "d"),
+        ("levelset-check", {"n": math.inf}, "n"),
+    ],
+)
+def test_integer_parameters_reject_fractions(experiment, parameters, name):
+    # int() would truncate these to another vertex, edge or box size
+    network = "path:3" if experiment in NETWORK_EXPERIMENTS else None
+    cfg = ExperimentConfig(experiment, seed=1, network=network, parameters=parameters)
+    with pytest.raises(ConfigError, match=f"parameter '{name}'.*must be an integer"):
+        run_experiment(cfg)
+
+
+def test_integer_parameters_accept_integral_floats():
+    cfg = ExperimentConfig(
+        "connectivity", seed=1, replicas=10, network="path:3", parameters={"x": 0.0, "y": 2.0}
+    )
+    assert [r.test_id for r in run_experiment(cfg).records] == ["connectivity-v0-v2"]
+    cfg = ExperimentConfig(
+        "det-ratio", seed=1, replicas=10, network="path:3", parameters={"edges": [[1.0, 2.0]]}
+    )
+    assert [r.test_id for r in run_experiment(cfg).records] == ["edge-avoidance"]
 
 
 def test_cli_sampling_commands(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from scipy import stats as sps
 
 from loopfield import (
-    LoopSkeleton,
     LoopSoupSample,
     LoopSoupSampler,
     Network,
@@ -18,8 +17,18 @@ from loopfield import (
     traversed_edges,
 )
 from loopfield.harness import parse_network_spec
+from loopfield.loopsoup import LENGTH_CUTOFF_EPS
 from loopfield.stats import half_square_cdf, mc_mean, z_score
 from loopfield.streams import derive_stream
+
+
+def _soup(loops, vertex_count, holds=None):
+    """Soup at intensity 1/2 of the handcrafted ``loops`` (vertex tuples), with
+    ``holds`` (default all ones) and no trivial occupation."""
+    vertices = np.array([x for loop in loops for x in loop], dtype=np.int64)
+    starts = np.cumsum([0] + [len(loop) for loop in loops])
+    holds = np.ones(vertices.size) if holds is None else np.array(holds, dtype=float)
+    return LoopSoupSample(vertices, starts, holds, np.zeros(vertex_count), 0.5)
 
 
 def test_two_vertex_loop_mass(two_vertex):
@@ -33,16 +42,15 @@ def test_two_vertex_loop_mass(two_vertex):
         gop.log_det_g + np.log(net.lambda_total).sum(), abs=1e-10
     )
     rng = derive_stream(31, 0)
-    counts = np.array([len(sampler.sample(rng).loops) for _ in range(40_000)], dtype=float)
+    counts = np.array([sampler.sample(rng).starts.size - 1 for _ in range(40_000)], dtype=float)
     est, sem = mc_mean(counts)
     assert abs(z_score(est, 0.5 * sampler.mass, sem)) < 3.9
 
 
 def test_truncation_bound(two_vertex):
     net, gop = two_vertex
-    for eps in (1e-6, 1e-9):
-        sampler = LoopSoupSampler(net, gop, 0.5, length_cutoff_eps=eps)
-        assert sampler.truncated_tail < eps * sampler.mass
+    sampler = LoopSoupSampler(net, gop, 0.5)
+    assert sampler.truncated_tail < LENGTH_CUTOFF_EPS * sampler.mass
 
 
 def test_single_vertex_soup():
@@ -52,7 +60,7 @@ def test_single_vertex_soup():
     assert sampler.mass == 0.0
     rng = derive_stream(32, 0)
     occ = np.array(
-        [occupation_field(sampler.sample(rng)).values[0] for _ in range(40_000)]
+        [occupation_field(sampler.sample(rng))[0] for _ in range(40_000)]
     )
     est, sem = mc_mean(occ)
     assert abs(z_score(est, 0.5 / 2.5, sem)) < 3.9
@@ -69,53 +77,39 @@ def test_skeletons_are_adjacent_cycles(grid3):
     seen = 0
     for r in range(300):
         soup = sampler.sample(derive_stream(33, r))
-        for skeleton, holds in soup.loops:
-            seen += 1
-            assert len(holds) == len(skeleton.vertices) >= 2
-            assert np.all(holds > 0)
-            verts = skeleton.vertices
-            for i in range(len(verts)):
-                net.edge_id(verts[i], verts[(i + 1) % len(verts)])  # raises if not adjacent
+        verts, starts = soup.vertices, soup.starts
+        assert verts.dtype == starts.dtype == np.int64
+        assert starts[0] == 0 and starts[-1] == verts.size == soup.holds.size
+        assert np.all(np.diff(starts) >= 2)
+        assert np.all(soup.holds > 0)
+        seen += starts.size - 1
+        # each visit's successor in its loop, the last visit's being the first
+        there = [np.roll(verts[a:b], -1) for a, b in zip(starts[:-1], starts[1:])]
+        net.edge_ids(verts, np.concatenate([verts[:0], *there]))  # raises if not adjacent
         assert np.all(soup.trivial_occupation >= 0)
     assert seen > 50
 
 
 def test_occupation_field_summation():
-    net = path_network(3)
-    empty = LoopSoupSample((), np.zeros(3), 0.5)
-    assert np.array_equal(occupation_field(empty).values, np.zeros(3))
-    one = LoopSoupSample(
-        ((LoopSkeleton((0, 1)), np.array([0.4, 0.6])),), np.zeros(3), 0.5
-    )
-    assert np.allclose(occupation_field(one).values, [0.4, 0.6, 0.0])
+    assert np.array_equal(occupation_field(_soup([], 3)), np.zeros(3))
+    one = _soup([(0, 1)], 3, holds=[0.4, 0.6])
+    assert np.allclose(occupation_field(one), [0.4, 0.6, 0.0])
+    # visits of vertex 1 by two loops add up
+    two = _soup([(0, 1), (1, 2)], 3, holds=[0.4, 0.6, 0.5, 0.25])
+    assert np.allclose(occupation_field(two), [0.4, 1.1, 0.25])
 
 
 def test_loop_clusters_cases():
     net = path_network(4)
-    empty = LoopSoupSample((), np.zeros(4), 0.5)
-    assert loop_clusters(empty, net).cluster_count == 4
+    assert loop_clusters(_soup([], 4), net).cluster_count == 4
 
-    chain = LoopSoupSample(
-        (
-            (LoopSkeleton((0, 1)), np.ones(2)),
-            (LoopSkeleton((1, 2)), np.ones(2)),
-        ),
-        np.zeros(4),
-        0.5,
-    )
+    chain = _soup([(0, 1), (1, 2)], 4)
     part = loop_clusters(chain, net)
     assert part.same_cluster(0, 2) and not part.same_cluster(0, 3)
     # the traversed edges attached to cluster 0
     assert np.flatnonzero(part.edges & (part.labels[net.edge_ends[:, 0]] == 0)).tolist() == [0, 1]
 
-    disjoint = LoopSoupSample(
-        (
-            (LoopSkeleton((0, 1)), np.ones(2)),
-            (LoopSkeleton((2, 3)), np.ones(2)),
-        ),
-        np.zeros(4),
-        0.5,
-    )
+    disjoint = _soup([(0, 1), (2, 3)], 4)
     part = loop_clusters(disjoint, net)
     assert part.cluster_count == 2
     assert not part.same_cluster(1, 2)
@@ -124,13 +118,12 @@ def test_loop_clusters_cases():
 def test_traversed_edges_flags_closing_step():
     # triangle 0-1-2 plus a pendant vertex 3 on vertex 2
     net = Network(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0)), np.ones(4))
-    empty = LoopSoupSample((), np.zeros(4), 0.5)
-    assert traversed_edges(empty, net).tolist() == [False] * 4
+    assert traversed_edges(_soup([], 4), net).tolist() == [False] * 4
     # the closing step 2 -> 0 crosses edge {0, 2}, which no other step does
-    triangle = LoopSoupSample(((LoopSkeleton((0, 1, 2)), np.ones(3)),), np.zeros(4), 0.5)
+    triangle = _soup([(0, 1, 2)], 4)
     assert traversed_edges(triangle, net).tolist() == [True, True, True, False]
     # a two-step loop closes back over the edge it took
-    back = LoopSoupSample(((LoopSkeleton((3, 2)), np.ones(2)),), np.zeros(4), 0.5)
+    back = _soup([(3, 2)], 4)
     assert traversed_edges(back, net).tolist() == [False, False, False, True]
     part = loop_clusters(back, net)
     assert part.labels.tolist() == [0, 1, 2, 2]
@@ -144,7 +137,7 @@ def test_occupation_mean_alpha_green(grid3):
     sampler = LoopSoupSampler(net, gop, alpha)
     occ = np.empty((20_000, 9))
     for r in range(occ.shape[0]):
-        occ[r] = occupation_field(sampler.sample(derive_stream(34, r))).values
+        occ[r] = occupation_field(sampler.sample(derive_stream(34, r)))
     for x in range(9):
         est, sem = mc_mean(occ[:, x])
         assert abs(z_score(est, alpha * gop.entry(x, x), sem)) < 3.9
@@ -155,7 +148,7 @@ def test_half_intensity_occupation_is_half_square_field(two_vertex):
     sampler = LoopSoupSampler(net, gop, 0.5)
     occ = np.empty((30_000, 2))
     for r in range(occ.shape[0]):
-        occ[r] = occupation_field(sampler.sample(derive_stream(35, r))).values
+        occ[r] = occupation_field(sampler.sample(derive_stream(35, r)))
     for x in range(2):
         var = gop.entry(x, x)
         p = sps.kstest(occ[:, x], lambda t, v=var: half_square_cdf(t, v)).pvalue
@@ -172,7 +165,7 @@ def test_edge_avoidance_matches_det_ratio(two_vertex):
     exact = sqrt_det_ratio(net, [(0, 1)])
     hits = np.empty(30_000)
     for r in range(hits.size):
-        hits[r] = 0.0 if sampler.sample(derive_stream(36, r)).loops else 1.0
+        hits[r] = 0.0 if sampler.sample(derive_stream(36, r)).starts.size > 1 else 1.0
     est, sem = mc_mean(hits)
     assert abs(z_score(est, exact, sem)) < 3.9
 
@@ -182,7 +175,7 @@ def test_sampler_rejects_bad_parameters(two_vertex):
     with pytest.raises(ValueError):
         LoopSoupSampler(net, gop, 0.0)
     with pytest.raises(ValueError):
-        LoopSoupSampler(net, gop, 0.5, length_cutoff_eps=0.0)
+        LoopSoupSampler(net, gop, math.inf)
 
 
 def test_sample_determinism(two_vertex):
@@ -190,10 +183,9 @@ def test_sample_determinism(two_vertex):
     sampler = LoopSoupSampler(net, gop, 0.5)
     a = sampler.sample(derive_stream(37, 4))
     b = LoopSoupSampler(net, gop, 0.5).sample(derive_stream(37, 4))
-    assert len(a.loops) == len(b.loops)
-    for (sa, ha), (sb, hb) in zip(a.loops, b.loops):
-        assert sa.vertices == sb.vertices
-        assert np.array_equal(ha, hb)
+    assert np.array_equal(a.starts, b.starts)
+    assert np.array_equal(a.vertices, b.vertices)
+    assert np.array_equal(a.holds, b.holds)
     assert np.array_equal(a.trivial_occupation, b.trivial_occupation)
 
 
@@ -256,12 +248,21 @@ def test_draws_equal_cached_power_reference(spec):
     for r in range(500):
         soup = sampler.sample(derive_stream(38, r))
         loops, trivial = reference(derive_stream(38, r))
-        assert len(soup.loops) == len(loops)
-        for (skeleton, holds), (ref_verts, ref_holds) in zip(soup.loops, loops):
-            assert skeleton.vertices == ref_verts
-            assert np.array_equal(holds, ref_holds)
+        starts = soup.starts
+        assert starts.size - 1 == len(loops) and starts[-1] == soup.vertices.size
+        for a, b, (ref_verts, ref_holds) in zip(starts[:-1], starts[1:], loops):
+            assert tuple(soup.vertices[a:b].tolist()) == ref_verts
+            assert np.array_equal(soup.holds[a:b], ref_holds)
             lengths.add(len(ref_verts))
         assert np.array_equal(soup.trivial_occupation, trivial)
+        # occupation and traversed edges summed loop by loop
+        occ, crossed = trivial.copy(), np.zeros(net.edge_count, dtype=bool)
+        for verts, holds in loops:
+            np.add.at(occ, list(verts), holds)
+            for u, v in zip(verts, verts[1:] + verts[:1]):
+                crossed[net.edge_id(u, v)] = True
+        assert np.array_equal(occupation_field(soup), occ)
+        assert np.array_equal(traversed_edges(soup, net), crossed)
     if spec is TRIANGLE:
         assert any(k % 2 for k in lengths)
 
