@@ -18,16 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import collect_coupled_fields, field_law_records
-from .gff import sample_gff
+from .gff import cluster_edges, sample_gff
 from .green import compute_green, normalized_green, sqrt_det_ratio
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    check_output,
     check_seed_and_replicas,
     parse_network_spec,
     run_experiment,
 )
-from .loopsoup import LoopSoupSampler, loop_clusters, occupation_field
+from .loopsoup import LoopSoupSampler, occupation_field, traversed_edges
 from .network import NetworkError
 from .streams import replicate
 
@@ -174,6 +175,9 @@ def _dispatch(args) -> int:
     # the sampling subcommands build no ExperimentConfig; check them by its rule
     if "seed" in args:
         check_seed_and_replicas(args.seed, args.replicas)
+    # an output that cannot be written is bad input, found before the run
+    if getattr(args, "out", None):
+        check_output(args.out)
 
     if cmd == "green":
         net = parse_network_spec(args.net)
@@ -216,14 +220,14 @@ def _dispatch(args) -> int:
 
         def row(r, rng):
             soup = sampler.sample(rng)
-            n_clusters = loop_clusters(soup, net).cluster_count
-            return (
-                f"{r},{soup.starts.size - 1},"
-                + ",".join(_fmt(v) for v in occupation_field(soup))
-                + f",{n_clusters}"
+            text = f"{r},{soup.starts.size - 1}," + ",".join(
+                _fmt(v) for v in occupation_field(soup)
             )
+            return text, traversed_edges(soup, net)
 
-        _emit([header] + replicate(args.replicas, args.seed, row), args.out)
+        rows, traversed = zip(*replicate(args.replicas, args.seed, row))
+        counts = cluster_edges(np.array(traversed), net).cluster_count
+        _emit([header] + [f"{text},{count}" for text, count in zip(rows, counts)], args.out)
         return 0
 
     if cmd == "couple":

@@ -1,9 +1,14 @@
-"""Union-find and deterministic cluster partitions.
+"""Deterministic cluster partitions from edge arrays.
 
 A partition is two arrays: ``labels``, the smallest vertex id in each
 vertex's cluster, and ``edges``, a boolean mask of the edges whose ends were
 merged.  Labels are canonical, so a partition built from the same merges is
 identical across runs whatever the merge order.
+
+``build_partition`` is the one labeller.  It works on whole arrays, so a
+block of replica graphs is labelled in one call: give replica r's vertex ids
+an offset of ``r * V`` and its labels come back as ``r * V`` plus the labels
+of that graph alone.
 """
 
 from __future__ import annotations
@@ -12,34 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["UnionFind", "ClusterPartition", "build_partition"]
-
-
-class UnionFind:
-    """Array-based union-find with path compression."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller id as root so labels are canonical
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-    def labels(self) -> np.ndarray:
-        return np.array([self.find(x) for x in range(len(self.parent))])
+__all__ = ["ClusterPartition", "build_partition"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,23 +28,41 @@ class ClusterPartition:
     cluster roots are the vertices with ``labels[x] == x``, in increasing
     order.  ``edges[e]`` is True for the edges whose ends were merged
     (the edges traversed by loops, or the open edges of a percolation).
+    A partition of a replica block carries a leading replica axis on both
+    arrays, and its queries answer per replica.
     """
 
     labels: np.ndarray
     edges: np.ndarray
 
     @property
-    def cluster_count(self) -> int:
-        return int(np.count_nonzero(self.labels == np.arange(self.labels.size)))
+    def cluster_count(self):
+        counts = np.count_nonzero(self.labels == np.arange(self.labels.shape[-1]), axis=-1)
+        return counts if counts.ndim else int(counts)
 
-    def same_cluster(self, x: int, y: int) -> bool:
-        return bool(self.labels[x] == self.labels[y])
+    def same_cluster(self, x: int, y: int):
+        return self.labels[..., x] == self.labels[..., y]
 
 
-def build_partition(vertex_count: int, merges) -> np.ndarray:
-    """Cluster labels after uniting every ``(x, y)`` pair of ``merges``:
-    ``labels[x]`` is the smallest vertex id in the component of ``x``."""
-    uf = UnionFind(vertex_count)
-    for x, y in merges:
-        uf.union(x, y)
-    return uf.labels()
+def build_partition(vertex_count: int, ends) -> np.ndarray:
+    """Cluster labels after uniting the two ends of every row of the (m, 2)
+    array ``ends``: ``labels[x]`` is the smallest vertex id in the component
+    of ``x``.
+
+    Hook and shortcut (Shiloach and Vishkin): each round hooks the larger
+    root of every edge across two trees onto the smaller (onto one of them,
+    where edges offer several), then points every vertex at its root.  Roots
+    only hook onto smaller ids, so each tree's root is its smallest vertex.
+    """
+    a, b = np.asarray(ends, dtype=np.int64).reshape(-1, 2).T
+    labels = np.arange(vertex_count)
+    while a.size:
+        la, lb = labels[a], labels[b]
+        # an edge within one tree stays within one tree
+        split = la != lb
+        a, b, la, lb = a[split], b[split], la[split], lb[split]
+        labels[np.maximum(la, lb)] = np.minimum(la, lb)
+        jumped = labels[labels]
+        while (jumped != labels).any():
+            labels, jumped = jumped, jumped[jumped]
+    return labels

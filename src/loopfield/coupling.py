@@ -22,10 +22,10 @@ import numpy as np
 from .clusters import ClusterPartition
 from .gff import cable_open_probability, cluster_edges
 from .green import GreenOperator, normalized_green
-from .loopsoup import LoopSoupSample, LoopSoupSampler, loop_clusters, occupation_field
+from .loopsoup import LoopSoupSample, LoopSoupSampler, occupation_field, traversed_edges
 from .network import Network
 from .stats import TestRecord, ks_record, mc_mean, normal_cdf, z_record
-from .streams import replicate
+from .streams import replicate_chunks
 
 __all__ = [
     "CoupledSample",
@@ -55,38 +55,53 @@ class CoupledSample:
     field: np.ndarray
 
 
+def _draw(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> np.ndarray:
+    """One replica's coupling inputs as a row: the soup's occupation field,
+    one uniform per edge and ``vertex_count`` sign bits.  Only the untraversed
+    edges draw their uniform, in edge-id order; the traversed ones read -1,
+    below every opening probability, so they are open."""
+    traversed = traversed_edges(soup, net)
+    uniforms = np.full(net.edge_count, -1.0)
+    uniforms[~traversed] = rng.random(net.edge_count - np.count_nonzero(traversed))
+    bits = rng.integers(0, 2, size=net.vertex_count)
+    return np.concatenate([occupation_field(soup), uniforms, bits])
+
+
+def _couple_block(net: Network, rows: list) -> tuple:
+    """Couple a block of replicas from their ``_draw`` rows: occupation, loop
+    clusters, merged clusters and fields, each with a leading replica axis."""
+    n, alive = net.vertex_count, net.alive
+    occ, uniforms, bits = np.split(np.array(rows), [n, n + net.edge_count], axis=1)
+    a, b = net.edge_ends.T
+    probs = cable_open_probability(net.conductances, np.sqrt(occ[:, a] * occ[:, b]))
+    base = cluster_edges(uniforms < 0, net)
+    merged = cluster_edges(uniforms < probs, net)
+    # a replica's k-th cluster root, in increasing label order, takes its k-th sign bit
+    rank = np.cumsum(merged.labels == np.arange(n), axis=1) - 1
+    sign = np.take_along_axis(bits, np.take_along_axis(rank, merged.labels, axis=1), axis=1)
+    field = np.zeros_like(occ)
+    field[:, alive] = (sign[:, alive] * 2 - 1) * np.sqrt(2.0 * occ[:, alive])
+    return occ, base, merged, field
+
+
 def couple(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> CoupledSample:
-    """Run the soup-to-field construction on one soup realization.
+    """Run the soup-to-field construction on one soup realization: the
+    one-replica block of ``collect_coupled_fields``.
 
     Only soups at intensity 1/2 are accepted; the square-root identity
     between occupation and field holds at that intensity alone.
 
     Randomness is consumed in a fixed order: one uniform per untraversed edge
-    in edge-id order, then one sign per merged cluster in increasing label
-    order, so a fixed stream reproduces the field exactly.
+    in edge-id order, then ``vertex_count`` sign bits, of which the merged
+    clusters take the first ones in increasing label order.  A fixed stream
+    reproduces the field exactly, and the signs are those of a draw of one
+    bit per merged cluster.
     """
     if soup.alpha != COUPLING_ALPHA:
         raise ValueError(f"coupling requires a soup at intensity 1/2, got alpha={soup.alpha}")
-
-    occ = occupation_field(soup)
-    base = loop_clusters(soup, net)
-    candidates = np.flatnonzero(~base.edges)
-    # one array call over every edge; only the candidates' entries are used
-    a, b = net.edge_ends.T
-    probs = cable_open_probability(net.conductances, np.sqrt(occ[a] * occ[b]))
-    is_open = base.edges.copy()
-    is_open[candidates[rng.random(candidates.size) < probs[candidates]]] = True
-    merged = cluster_edges(is_open, net)
-
-    roots = np.flatnonzero(merged.labels == np.arange(net.vertex_count))
-    vertex_sign = np.zeros(net.vertex_count)
-    vertex_sign[roots] = rng.integers(0, 2, size=roots.size) * 2 - 1
-
-    alive = net.alive
-    values = np.zeros(net.vertex_count)
-    values[alive] = vertex_sign[merged.labels[alive]] * np.sqrt(2.0 * occ[alive])
-
-    return CoupledSample(soup, occ, base, merged, values)
+    occ, base, merged, field = _couple_block(net, [_draw(net, soup, rng)])
+    clusters = [ClusterPartition(p.labels[0], p.edges[0]) for p in (base, merged)]
+    return CoupledSample(soup, occ[0], *clusters, field[0])
 
 
 def collect_coupled_fields(
@@ -95,21 +110,26 @@ def collect_coupled_fields(
     """Replicate the coupling; return fields on alive vertices and the number
     of replicas whose field sign fails to be constant on some loop cluster.
 
-    The sign check recomputes constancy from the realized field and clusters,
-    so it would catch a miswired construction rather than restating it.
+    Each replica draws its soup and coupling inputs; the coupling itself
+    runs once per chunk of replicas.  The sign check recomputes constancy
+    from the realized field and clusters, so it would catch a miswired
+    construction rather than restating it.
     """
     sampler = LoopSoupSampler(net, gop, COUPLING_ALPHA)
 
     def one(_i, rng):
-        coupled = couple(net, sampler.sample(rng), rng)
+        return _draw(net, sampler.sample(rng), rng)
+
+    fields, violations = [], 0
+    for rows in replicate_chunks(replicas, seed, one, 2 * net.vertex_count + net.edge_count):
+        _occ, base, _merged, field = _couple_block(net, rows)
         # each cluster label is a vertex of its cluster, so the sign is constant on
         # every cluster exactly when each vertex agrees with its label vertex
-        sign = np.sign(coupled.field)
-        broken = bool((sign != sign[coupled.base_clusters.labels]).any())
-        return coupled.field[net.alive], broken
-
-    results = replicate(replicas, seed, one)
-    return np.array([f for f, _ in results]), sum(bad for _, bad in results)
+        sign = np.sign(field)
+        broken = (sign != np.take_along_axis(sign, base.labels, axis=1)).any(axis=1)
+        violations += int(np.count_nonzero(broken))
+        fields.append(field[:, net.alive])
+    return np.concatenate(fields), violations
 
 
 def field_law_records(

@@ -88,6 +88,13 @@ def connectivity_probability(gop: GreenOperator, x: int, y: int) -> float:
 
 def cluster_edges(open_mask: np.ndarray, net: Network) -> ClusterPartition:
     """Connected components over the edges of a boolean mask, with
-    deterministic labels; the mask is the partition's merged edges."""
-    labels = build_partition(net.vertex_count, net.edge_ends[open_mask].tolist())
-    return ClusterPartition(labels, open_mask)
+    deterministic labels; the mask is the partition's merged edges.
+
+    A ``(replicas, edge_count)`` mask is labelled in one call, each row as a
+    graph of its own; the labels then have shape ``(replicas, vertex_count)``.
+    """
+    n, replicas = net.vertex_count, math.prod(open_mask.shape[:-1])
+    rows, edges = np.nonzero(open_mask.reshape(replicas, net.edge_count))
+    labels = build_partition(replicas * n, net.edge_ends[edges] + (rows * n)[:, None])
+    labels = labels.reshape(replicas, n) - np.arange(0, replicas * n, n)[:, None]
+    return ClusterPartition(labels.reshape(open_mask.shape[:-1] + (n,)), open_mask)

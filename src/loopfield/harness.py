@@ -46,11 +46,12 @@ from .network import (
     two_vertex_network,
 )
 from .stats import TestRecord, half_square_cdf, ks_record, mc_mean, z_record
-from .streams import derive_stream, replicate
+from .streams import derive_stream, replicate, replicate_chunks
 
 __all__ = [
     "ExperimentConfig",
     "Report",
+    "check_output",
     "check_seed_and_replicas",
     "run_experiment",
     "parse_network_spec",
@@ -75,6 +76,13 @@ def check_seed_and_replicas(seed, replicas) -> tuple[int, int]:
     if not (0 <= seed < 2**64):
         raise ConfigError("field 'seed': must be a 64-bit value")
     return seed, replicas
+
+
+def check_output(path: str) -> None:
+    """A ConfigError unless ``path`` names a file in an existing directory, so
+    that a run never ends on an output it cannot write."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise ConfigError(f"output {path!r}: not a file in an existing directory")
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,11 @@ class ExperimentConfig:
                 f"field 'network': not read by experiment {self.experiment!r}; "
                 f"only by {sorted(NETWORK_EXPERIMENTS)}"
             )
+        if self.output is not None:
+            if not isinstance(self.output, str):
+                raise ConfigError("field 'output': must be a string")
+            if self.output:
+                check_output(self.output)
         if not isinstance(self.parameters, dict):
             raise ConfigError("field 'parameters': must be an object")
         accepted = PARAMETERS[self.experiment]
@@ -310,11 +323,6 @@ def _vertex(cfg: ExperimentConfig, net: Network, name: str) -> int:
     return x
 
 
-# connectivity stacks the draws of at most this many field and edge values at
-# once, so its memory does not grow with the replica count
-CONNECTIVITY_CHUNK_VALUES = 1 << 20
-
-
 def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
     net = parse_network_spec(cfg.network)
     x = _vertex(cfg, net, "x")
@@ -324,27 +332,23 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
 
     # a replica draws what sample_gff(gop, rng) and then
     # sample_edge_configuration(field, net, rng) draw; a chunk of replicas gets
-    # its fields and open masks from one call of each on the stacked draws
+    # its fields, open masks and clusters from one call of each on the stacked draws
     n, edge_count = net.alive.size, net.edge_count
-    chunk = max(1, CONNECTIVITY_CHUNK_VALUES // (net.vertex_count + edge_count))
+
+    def one(_i, rng):
+        return rng.standard_normal(n), rng.random(edge_count)
+
     hits = []
-    for start in range(0, cfg.replicas, chunk):
-        draws = replicate(
-            min(chunk, cfg.replicas - start),
-            cfg.seed,
-            lambda _i, rng: (rng.standard_normal(n), rng.random(edge_count)),
-            start=start,
-        )
+    for draws in replicate_chunks(cfg.replicas, cfg.seed, one, net.vertex_count + edge_count):
         z, u = (np.array(block) for block in zip(*draws))
         is_open = sample_edge_configuration(sample_gff(gop, normals=z), net, uniforms=u)
-        hits += [1.0 if cluster_edges(row, net).same_cluster(x, y) else 0.0 for row in is_open]
-    hits = np.array(hits)
+        hits.append(cluster_edges(is_open, net).same_cluster(x, y))
     return [
         z_record(
             f"connectivity-v{x}-v{y}",
             "P(x <-> y) = (2/pi) arcsin(g(x,y))",
             exact,
-            *mc_mean(hits),
+            *mc_mean(np.concatenate(hits).astype(float)),
         )
     ]
 

@@ -357,20 +357,24 @@ def levelset_field(
     open_draws = derive_stream(seed, 2).random((replicas, net.edge_count))
     probs = cable_open_probability(net.conductances, np.sqrt(s_full[:, a] * s_full[:, b]))
     is_open = edge_hit | (open_draws < probs)
-    rng_signs = derive_stream(seed, 3)
 
+    # all replicas are labelled at once, replica r's vertex ids offset by r * V;
+    # a star of edges from the first absorbing vertex ties each boundary together
+    v = net.vertex_count
+    offsets = np.arange(0, replicas * v, v)
     absorbing = np.flatnonzero(~np.isfinite(net.killing))
-    boundary_pairs = [(int(absorbing[0]), int(x)) for x in absorbing[1:]]
-    vertex_ids = np.arange(net.vertex_count)
-    signs = np.empty((replicas, net.vertex_count))
-    for r in range(replicas):
-        pairs = boundary_pairs + net.edge_ends[is_open[r]].tolist()
-        labels = build_partition(net.vertex_count, pairs)
-        # the cluster roots other than the boundary's, in increasing order
-        free = np.flatnonzero((labels == vertex_ids) & (vertex_ids != labels[absorbing[0]]))
-        label_sign = np.full(net.vertex_count, -1.0)
-        label_sign[free] = rng_signs.integers(0, 2, size=free.size) * 2 - 1
-        signs[r] = label_sign[labels]
+    star_edges = np.column_stack([np.full(absorbing.size - 1, absorbing[0]), absorbing[1:]])
+    rows, edges = np.nonzero(is_open)
+    star_ends = (star_edges + offsets[:, None, None]).reshape(-1, 2)
+    ends = np.concatenate([star_ends, net.edge_ends[edges] + offsets[rows, None]])
+    labels = build_partition(replicas * v, ends)
+    # the cluster roots other than the boundary's, replica by replica and in
+    # increasing order within one, take one sign draw each
+    free = labels == np.arange(replicas * v)
+    free[labels[absorbing[0] + offsets]] = False
+    label_sign = np.full(replicas * v, -1.0)
+    label_sign[free] = derive_stream(seed, 3).integers(0, 2, size=np.count_nonzero(free)) * 2 - 1
+    signs = label_sign[labels].reshape(replicas, v)
 
     phi = math.sqrt(2.0 * u) + signs * np.sqrt(2.0 * s_full)
     return phi[:, net.alive], vertex_hit

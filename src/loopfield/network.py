@@ -132,7 +132,7 @@ class Network:
             if not degree.all():
                 x = np.argmin(degree)
                 raise NetworkError(f"every vertex must have degree >= 1; vertex {x} has none")
-            if build_partition(n, ends.tolist()).any():
+            if build_partition(n, ends).any():
                 raise NetworkError("graph must be connected")
         if (lam[alive] <= 0).any():
             x = int(alive[np.argmax(lam[alive] <= 0)])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_stream", "replicate"]
+__all__ = ["derive_stream", "replicate", "replicate_chunks", "CHUNK_VALUES"]
 
 _SEED_MASK = (1 << 64) - 1
 _WORD_MASK = (1 << 32) - 1
@@ -30,6 +30,10 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
+
+# a chunk of replicas stacks the draws of at most this many values, so the
+# memory of a chunked experiment does not grow with its replica count
+CHUNK_VALUES = 1 << 20
 
 
 def derive_stream(master_seed: int, replica_index: int = 0) -> np.random.Generator:
@@ -110,3 +114,12 @@ def replicate(replicas: int, seed: int, fn, start: int = 0) -> list:
         }
         results.append(fn(i, rng))
     return results
+
+
+def replicate_chunks(replicas: int, seed: int, fn, values_per_replica: int):
+    """``replicate(replicas, seed, fn)`` in consecutive chunks of at most
+    ``CHUNK_VALUES // values_per_replica`` replicas (at least one); yields
+    each chunk's results in turn, in index order."""
+    chunk = max(1, CHUNK_VALUES // values_per_replica)
+    for start in range(0, replicas, chunk):
+        yield replicate(min(chunk, replicas - start), seed, fn, start=start)

@@ -11,7 +11,6 @@ from loopfield import (
     couple,
     occupation_field,
 )
-from loopfield.clusters import UnionFind
 from loopfield.coupling import collect_coupled_fields, field_law_records
 from loopfield.gff import cable_open_probability
 from loopfield.harness import parse_network_spec
@@ -132,20 +131,31 @@ def test_coupling_determinism(two_vertex):
     assert np.array_equal(np.sign(a.field), np.sign(b.field))
 
 
+def _root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y):
+    rx, ry = _root(parent, x), _root(parent, y)
+    parent[max(rx, ry)] = min(rx, ry)
+
+
 def _reference_couple(net, soup, rng):
     """The coupling with per-cluster member and edge-set dicts: union-find over
     the loop steps, one uniform per untraversed edge in edge-id order, then
     one sign per merged cluster in ``sorted(members)`` order.  Returns the
     field and the open-edge mask."""
     occ = occupation_field(soup)
-    uf = UnionFind(net.vertex_count)
+    parent = list(range(net.vertex_count))
     traversed = set()
     bounds = soup.starts.tolist()
     for a, b in zip(bounds[:-1], bounds[1:]):
         verts = soup.vertices[a:b].tolist()
         for i in range(len(verts)):
             u, v = verts[i], verts[(i + 1) % len(verts)]
-            uf.union(u, v)
+            _union(parent, u, v)
             traversed.add(net.edge_id(u, v))
     is_open = np.zeros(net.edge_count, dtype=bool)
     is_open[sorted(traversed)] = True
@@ -154,10 +164,10 @@ def _reference_couple(net, soup, rng):
     probs = cable_open_probability(net.conductances, np.sqrt(occ[a] * occ[b]))
     for eid in candidates[rng.random(candidates.size) < probs[candidates]]:
         is_open[eid] = True
-        uf.union(*net.edge_ends[eid].tolist())
+        _union(parent, *net.edge_ends[eid].tolist())
     members = {}
     for x in range(net.vertex_count):
-        members.setdefault(uf.find(x), []).append(x)
+        members.setdefault(_root(parent, x), []).append(x)
     labels = sorted(members)
     signs = dict(zip(labels, (rng.integers(0, 2, size=len(labels)) * 2 - 1).tolist()))
     values = np.zeros(net.vertex_count)
@@ -178,3 +188,21 @@ def test_couple_equals_dict_reference(spec):
         values, is_open = _reference_couple(net, soup, derive_stream(60, r))
         assert np.array_equal(coupled.field, values)
         assert np.array_equal(coupled.merged_clusters.edges, is_open)
+
+
+@pytest.mark.parametrize("spec", ["grid:3x3", "path:3", "box:d=2,n=2,mode=absorbing"])
+def test_collected_fields_equal_couple_replica_by_replica(spec):
+    # the chunked coupling against couple on each replica's own stream; the
+    # box's absorbing vertices are singleton clusters and take sign bits too
+    net = parse_network_spec(spec)
+    gop = compute_green(net)
+    sampler = LoopSoupSampler(net, gop, 0.5)
+    fields, violations = collect_coupled_fields(net, gop, 300, seed=61)
+    broken = 0
+    for r in range(300):
+        rng = derive_stream(61, r)
+        coupled = couple(net, sampler.sample(rng), rng)
+        assert np.array_equal(fields[r], coupled.field[net.alive])
+        sign = np.sign(coupled.field)
+        broken += bool((sign != sign[coupled.base_clusters.labels]).any())
+    assert violations == broken == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from loopfield import harness
+from loopfield import streams
 from loopfield.cli import main
 from loopfield.harness import (
     ConfigError,
@@ -139,7 +139,15 @@ def test_connectivity_report_does_not_depend_on_chunk(monkeypatch):
     )
     whole = run_experiment(cfg).to_json()
     # 9 vertices + 12 edges: chunks of 3 replicas, the last one short
-    monkeypatch.setattr(harness, "CONNECTIVITY_CHUNK_VALUES", 3 * 21)
+    monkeypatch.setattr(streams, "CHUNK_VALUES", 3 * 21)
+    assert run_experiment(cfg).to_json() == whole
+
+
+def test_coupling_law_report_does_not_depend_on_chunk(monkeypatch):
+    cfg = ExperimentConfig("coupling-law", seed=8, replicas=50, network="grid:3x3")
+    whole = run_experiment(cfg).to_json()
+    # a row of 9 occupations, 12 uniforms and 9 sign bits: chunks of 3 replicas
+    monkeypatch.setattr(streams, "CHUNK_VALUES", 3 * 30)
     assert run_experiment(cfg).to_json() == whole
 
 
@@ -240,6 +248,7 @@ PARAMETER = "error: parameter "
 NETWORK = "error: field 'network': "
 REPLICAS = "error: field 'replicas': "
 SEED = "error: field 'seed': "
+OUTPUT = "error: output '/nonexistent/"
 GRID = PARAMETER + "'lambda_grid': "
 
 
@@ -296,6 +305,20 @@ GRID = PARAMETER + "'lambda_grid': "
         (["sample-gff", "--net", "two-vertex", "--seed", "-1"], None, SEED),
         (["sample-loops", "--net", "two-vertex", "--seed", str(2**64)], None, SEED),
         (["couple", "--net", "two-vertex", "--seed", "-1"], None, SEED),
+        (["green", "--net", "path:3", "--out", "/nonexistent/x.csv"], None, OUTPUT),
+        (
+            ["connectivity", "--net", "path:3", "--x", "0", "--y", "2",
+             "--out", "/nonexistent/x.csv"],
+            None,
+            OUTPUT,
+        ),
+        (["couple", "--net", "path:3", "--out", "/nonexistent/d/x.csv"], None, OUTPUT),
+        (
+            None,
+            {"experiment": "bridge-check", "output": "/nonexistent/x.csv"},
+            OUTPUT,
+        ),
+        (None, {"experiment": "bridge-check", "output": 5}, "error: field 'output': "),
         (
             None,
             {
@@ -393,6 +416,11 @@ GRID = PARAMETER + "'lambda_grid': "
         "sample-gff-negative-seed",
         "sample-loops-seed-2^64",
         "couple-negative-seed",
+        "green-out-unwritable",
+        "connectivity-out-unwritable",
+        "couple-out-unwritable",
+        "config-output-unwritable",
+        "config-output-not-a-string",
         "connectivity-z_limit",
         "coupling-law-ks_pvalue",
         "bridge-check-quad_rel_err",

@@ -13,7 +13,6 @@ from loopfield import (
     levelset_containment_check,
     two_vertex_network,
 )
-from loopfield.clusters import UnionFind
 from loopfield.interlacement import (
     _slot_tables,
     levelset_field,
@@ -267,6 +266,17 @@ def test_levelset_containment_exact():
         levelset_containment_check(star, 0.0, 10, 73)
 
 
+def _root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y):
+    rx, ry = _root(parent, x), _root(parent, y)
+    parent[max(rx, ry)] = min(rx, ry)
+
+
 def _levelset_reference(star, u, replicas, seed):
     """The level-set field built replica by replica with a union-find over
     every edge and one scalar sign draw per cluster."""
@@ -282,16 +292,16 @@ def _levelset_reference(star, u, replicas, seed):
     for r in range(replicas):
         s_full = np.full(net.vertex_count, float(u))
         s_full[net.alive] = s_alive[r]
-        uf = UnionFind(net.vertex_count)
+        parent = list(range(net.vertex_count))
         for x in absorbing[1:]:
-            uf.union(absorbing[0], x)
+            _union(parent, absorbing[0], x)
         for eid, ((a, b), c) in enumerate(zip(net.edge_ends.tolist(), net.conductances.tolist())):
             if edge_hit[r, eid]:
-                uf.union(a, b)
+                _union(parent, a, b)
             elif not (net.is_absorbing(a) and net.is_absorbing(b)):
                 if open_draws[r, eid] < -math.expm1(-2.0 * c * math.sqrt(s_full[a] * s_full[b])):
-                    uf.union(a, b)
-        labels = uf.labels()
+                    _union(parent, a, b)
+        labels = np.array([_root(parent, x) for x in range(net.vertex_count)])
         signs = np.empty(net.vertex_count)
         for label in sorted(set(labels.tolist())):
             if label == labels[absorbing[0]]:
