@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .stats import mc_mean
 
@@ -69,6 +68,9 @@ def zero_probability_quadrature(p: BridgeProblem, rel_tol: float = 1e-10) -> flo
     singularity, leaving ``(2 / sqrt(pi)) * integral exp(-lam/t^2 - t^2) dt``.
     Raises if the quadrature error estimate exceeds the requested tolerance.
     """
+    # scipy.integrate is imported by the runs that integrate, not by every import
+    from scipy.integrate import quad
+
     if rel_tol < 1e-12:
         raise ValueError("rel_tol must be >= 1e-12")
     lam = p.lam

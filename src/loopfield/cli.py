@@ -1,9 +1,13 @@
 """Command-line surface.
 
-Every verification subcommand builds an experiment config, runs it and emits
-CSV rows plus a JSON report; the exit code is 0 exactly when every check
-passed.  The sampling subcommands (``sample-gff``, ``sample-loops``,
-``couple``) emit per-replica CSV rows instead.
+Each entry of ``harness.EXPERIMENTS`` is one verification subcommand, with a
+flag per parameter (``--lambda-grid`` sets ``lambda_grid``) and ``--net``
+when the experiment reads a network.  It runs the config those flags stand
+for, emits CSV rows plus the JSON report, and exits 0 exactly when every
+check passed.  ``green``, ``sample-gff``, ``sample-loops`` and ``couple`` are
+written out by hand and emit per-replica CSV rows instead.  Any rejected
+input, a malformed command line included, prints one ``error:`` line and
+exits 2.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +26,14 @@ from .coupling import collect_coupled_fields, field_law_records
 from .gff import cluster_edges, sample_gff
 from .green import compute_green, normalized_green, sqrt_det_ratio
 from .harness import (
+    EXPERIMENTS,
+    REQUIRED,
     ConfigError,
     ExperimentConfig,
+    Param,
     check_output,
     check_seed_and_replicas,
+    edge_pairs,
     parse_network_spec,
     run_experiment,
 )
@@ -47,58 +56,63 @@ def _fmt(v) -> str:
     return format(float(v), FMT)
 
 
-def _parse_flag(name: str, text: str, convert):
-    """``convert(text)``; a value it rejects is a ConfigError naming ``name``."""
-    try:
-        return convert(text)
-    except ValueError as exc:
-        raise ConfigError(f"parameter {name!r}: bad value {text!r} ({exc})") from exc
-
-
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    pairs = []
-    for chunk in text.replace(";", " ").split():
-        a, _, b = chunk.partition("-")
-        pairs.append((int(a), int(b)))
-    return pairs
-
-
-def _points(text: str) -> list[list[int]]:
-    return [[int(c) for c in chunk.split(",")] for chunk in text.split(";") if chunk]
-
-
 def _add_common(sub, replicas_default=100_000):
     sub.add_argument("--seed", type=int, default=1, help="master seed, 0..2^64 - 1")
     sub.add_argument("--replicas", type=int, default=replicas_default)
     sub.add_argument("--out", default=None, help="output path (CSV; report JSON alongside)")
 
 
-def _run_and_report(args, experiment: str, network=None, parameters=None) -> int:
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        seed=args.seed,
-        replicas=args.replicas,
-        network=network,
-        parameters=parameters or {},
-        output=args.out,
-    )
-    started = time.perf_counter()
-    report = run_experiment(cfg)
-    # runtime goes to stderr only; report files stay byte-identical per seed
-    print(f"runtime: {time.perf_counter() - started:.2f}s", file=sys.stderr)
-    if not args.out:
-        _print_report(report)
-    return 0 if report.all_passed else 1
+class _Parser(argparse.ArgumentParser):
+    """Rejects bad command lines like any other bad input: one ``error:``
+    line and exit code 2, without the usage block."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _print_report(report) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerows(report.csv_rows())
-    print(report.to_json())
+def _add_experiment(subs, name: str, entry) -> None:
+    p = subs.add_parser(name, help=entry.run.__doc__)
+    if entry.network:
+        p.add_argument("--net", required=True)
+    for param in entry.params:
+        p.add_argument(
+            "--" + param.name.replace("_", "-"),
+            required=param.default is REQUIRED,
+            help=None if param.parse in (int, float) else param.parse.__doc__,
+        )
+    _add_common(p, entry.replicas)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+def _parameters(args, entry) -> dict:
+    """The config's parameters: each given flag through its parser, and each
+    constant default as it stands; a computed default stays out."""
+    parameters = {}
+    for param in entry.params:
+        text = getattr(args, param.name)
+        if text is not None:
+            parameters[param.name] = param.from_text(text)
+        elif param.default is not None:
+            parameters[param.name] = param.default
+    return parameters
+
+
+def _emit_bridge_table(report, out: str | None) -> None:
+    """bridge-check's own output: one CSV row per lambda, then the report."""
+    lines = ["lambda,closed,quadrature,mc,stderr,z"]
+    grid = report.config["parameters"]["lambda_grid"]
+    # the records alternate: quadrature, then Monte Carlo, for each lambda
+    for lam, quad, mc in zip(grid, report.records[::2], report.records[1::2]):
+        values = (lam, quad.exact, quad.estimate, mc.estimate, mc.stderr, mc.z)
+        lines.append(",".join(_fmt(v) for v in values))
+    _emit(lines, out)
+    if out:
+        Path(out).with_suffix(".json").write_text(report.to_json() + "\n")
+    else:
+        print(report.to_json())
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="loopfield",
         description="Loop soups, free fields and interlacements on finite networks, "
         "with seeded statistical verification of their exact couplings.",
@@ -123,48 +137,18 @@ def main(argv=None) -> int:
     p.add_argument("--net", required=True)
     _add_common(p, replicas_default=20_000)
 
-    p = subs.add_parser("connectivity", help="cable-cluster connectivity vs the arcsine law")
-    p.add_argument("--net", required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    _add_common(p)
-
-    p = subs.add_parser("det-ratio", help="loop edge-avoidance vs the determinant ratio")
-    p.add_argument("--net", required=True)
-    p.add_argument("--edges", required=True, help="designated edges, e.g. '0-1;1-2'")
-    _add_common(p)
-
-    p = subs.add_parser("bridge-check", help="zero-probability closed form vs quadrature and MC")
-    p.add_argument("--lambda-grid", default="1e-4,1e-2,0.25,1,4,25")
-    _add_common(p)
-
-    p = subs.add_parser("interlacement", help="vacant-set and occupation laws on a box")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--u", type=float, default=0.25)
-    p.add_argument(
-        "--k", default=None, help="vertex coordinates, e.g. '0,0,0;1,0,0' (default: the origin)"
-    )
-    _add_common(p, replicas_default=20_000)
-
-    p = subs.add_parser("isomorphism-check", help="occupation-plus-field identity on the star graph")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--u", type=float, default=0.5)
-    _add_common(p, replicas_default=20_000)
-
-    p = subs.add_parser("levelset-check", help="structural containment of the visited set")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--u", type=float, default=1.0)
-    _add_common(p, replicas_default=10_000)
+    for name, entry in EXPERIMENTS.items():
+        _add_experiment(subs, name, entry)
 
     p = subs.add_parser("run", help="run an experiment from a JSON config file")
     p.add_argument("--config", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        return _dispatch(args)
+        return _dispatch(parser.parse_args(argv))
     except (ConfigError, NetworkError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -184,14 +168,12 @@ def _dispatch(args) -> int:
         gop = compute_green(net)
         lines = ["section,i,j,value"]
         alive = net.alive
-        for i, x in enumerate(alive):
-            for y in alive[i:]:
-                lines.append(f"G,{x},{y},{_fmt(gop.entry(int(x), int(y)))}")
-        for i, x in enumerate(alive):
-            for y in alive[i:]:
-                lines.append(f"g,{x},{y},{_fmt(normalized_green(gop, int(x), int(y)))}")
+        for section, value in (("G", gop.entry), ("g", partial(normalized_green, gop))):
+            for i, x in enumerate(alive):
+                for y in alive[i:]:
+                    lines.append(f"{section},{x},{y},{_fmt(value(int(x), int(y)))}")
         if args.remove:
-            pairs = _parse_flag("remove", args.remove, _parse_pairs)
+            pairs = Param("remove", edge_pairs, None).from_text(args.remove)
             ids = [net.edge_id(u, v) for u, v in pairs]
             lines.append(f"det-ratio,,,{_fmt(sqrt_det_ratio(net, ids))}")
         _emit(lines, args.out)
@@ -249,75 +231,28 @@ def _dispatch(args) -> int:
             print(doc)
         return 0 if all(rec.passed for rec in records) else 1
 
-    if cmd == "connectivity":
-        return _run_and_report(
-            args, "connectivity", network=args.net, parameters={"x": args.x, "y": args.y}
-        )
-
-    if cmd == "det-ratio":
-        return _run_and_report(
-            args,
-            "det-ratio",
-            network=args.net,
-            parameters={"edges": [list(p) for p in _parse_flag("edges", args.edges, _parse_pairs)]},
-        )
-
-    if cmd == "bridge-check":
-        grid = _parse_flag(
-            "lambda_grid", args.lambda_grid, lambda t: [float(v) for v in t.split(",") if v]
-        )
-        cfg = ExperimentConfig(
-            experiment="bridge-check",
-            seed=args.seed,
-            replicas=args.replicas,
-            parameters={"lambda_grid": grid},
-        )
-        report = run_experiment(cfg)
-        lines = ["lambda,closed,quadrature,mc,stderr,z"]
-        for lam in grid:
-            quad_rec = next(
-                r for r in report.records if r.test_id == f"bridge-quadrature-lambda-{lam:g}"
-            )
-            mc_rec = next(
-                r
-                for r in report.records
-                if r.test_id == f"bridge-first-vs-last-zero-lambda-{lam:g}"
-            )
-            lines.append(
-                f"{_fmt(lam)},{_fmt(quad_rec.exact)},{_fmt(quad_rec.estimate)},"
-                f"{_fmt(mc_rec.estimate)},{_fmt(mc_rec.stderr)},{_fmt(mc_rec.z)}"
-            )
-        _emit(lines, args.out)
-        if args.out:
-            Path(args.out).with_suffix(".json").write_text(report.to_json() + "\n")
-        else:
-            print(report.to_json())
-        return 0 if report.all_passed else 1
-
-    if cmd == "interlacement":
-        parameters = {"d": args.d, "n": args.n, "u": args.u}
-        if args.k is not None:
-            parameters["k"] = _parse_flag("k", args.k, _points)
-        return _run_and_report(args, "interlacement", parameters=parameters)
-
-    if cmd == "isomorphism-check":
-        return _run_and_report(
-            args, "isomorphism-check", parameters={"d": args.d, "n": args.n, "u": args.u}
-        )
-
-    if cmd == "levelset-check":
-        return _run_and_report(
-            args, "levelset-check", parameters={"d": args.d, "n": args.n, "u": args.u}
-        )
-
     if cmd == "run":
         cfg = ExperimentConfig.from_file(args.config)
-        report = run_experiment(cfg)
-        if not cfg.output:
-            _print_report(report)
-        return 0 if report.all_passed else 1
-
-    raise AssertionError(f"unhandled command {cmd}")
+    else:
+        cfg = ExperimentConfig(
+            experiment=cmd,
+            seed=args.seed,
+            replicas=args.replicas,
+            network=getattr(args, "net", None),
+            parameters=_parameters(args, EXPERIMENTS[cmd]),
+            # bridge-check writes its own files
+            output=None if cmd == "bridge-check" else args.out,
+        )
+    started = time.perf_counter()
+    report = run_experiment(cfg)
+    # runtime goes to stderr only; report files stay byte-identical per seed
+    print(f"runtime: {time.perf_counter() - started:.2f}s", file=sys.stderr)
+    if cmd == "bridge-check":
+        _emit_bridge_table(report, args.out)
+    elif not cfg.output:
+        csv.writer(sys.stdout).writerows(report.csv_rows())
+        print(report.to_json())
+    return 0 if report.all_passed else 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,7 +57,8 @@ __all__ = [
     "run_experiment",
     "parse_network_spec",
     "EXPERIMENTS",
-    "PARAMETERS",
+    "Experiment",
+    "Param",
 ]
 
 
@@ -106,10 +108,11 @@ class ExperimentConfig:
                 f"field 'experiment': unknown id {self.experiment!r}; "
                 f"known: {sorted(EXPERIMENTS)}"
             )
-        if self.network is not None and self.experiment not in NETWORK_EXPERIMENTS:
+        entry = EXPERIMENTS[self.experiment]
+        if self.network is not None and not entry.network:
             raise ConfigError(
                 f"field 'network': not read by experiment {self.experiment!r}; "
-                f"only by {sorted(NETWORK_EXPERIMENTS)}"
+                f"only by {sorted(name for name, e in EXPERIMENTS.items() if e.network)}"
             )
         if self.output is not None:
             if not isinstance(self.output, str):
@@ -118,7 +121,7 @@ class ExperimentConfig:
                 check_output(self.output)
         if not isinstance(self.parameters, dict):
             raise ConfigError("field 'parameters': must be an object")
-        accepted = PARAMETERS[self.experiment]
+        accepted = {param.name for param in entry.params}
         for name in self.parameters:
             if name not in accepted:
                 raise ConfigError(
@@ -176,16 +179,8 @@ class Report:
     def csv_rows(self):
         yield ["test", "formula", "exact", "estimate", "stderr", "z", "p", "pass"]
         for r in self.records:
-            yield [
-                r.test_id,
-                r.formula,
-                _fmt(r.exact),
-                _fmt(r.estimate),
-                _fmt(r.stderr),
-                _fmt(r.z),
-                _fmt(r.p_value),
-                str(r.passed).lower(),
-            ]
+            values = (r.exact, r.estimate, r.stderr, r.z, r.p_value)
+            yield [r.test_id, r.formula, *map(_fmt, values), str(r.passed).lower()]
 
     def write(self, out: str | Path) -> tuple[Path, Path]:
         """Write the CSV rows and the JSON report next to each other."""
@@ -274,24 +269,47 @@ def parse_network_spec(spec) -> Network:
         raise ConfigError(f"field 'network': bad shorthand {spec!r}: {exc}") from exc
 
 
-# -- experiments ---------------------------------------------------------------
+# -- parameters ----------------------------------------------------------------
+
+# the default of a parameter that has none
+REQUIRED = object()
 
 
-_REQUIRED = object()
+class Param(NamedTuple):
+    """One experiment parameter.  ``parse`` turns the text of its flag into
+    the raw value a config holds (a parser of this module's own has the flag's
+    help text as its docstring), ``convert`` turns a raw value into the one
+    the experiment runs with (a ValueError or TypeError rejects it), and
+    ``default`` is a raw value, ``REQUIRED``, or None for a default the
+    experiment computes itself."""
 
+    name: str
+    parse: Callable[[str], object]
+    convert: Callable[[object], object]
+    default: object = REQUIRED
 
-def _param(cfg: ExperimentConfig, name: str, convert, default=_REQUIRED):
-    """Parameter ``name`` (or ``default``) passed through ``convert``; a missing
-    required parameter or a value that ``convert`` rejects is a ConfigError."""
-    if name not in cfg.parameters:
-        if default is _REQUIRED:
-            raise ConfigError(f"parameter {name!r}: required by experiment {cfg.experiment!r}")
-        return convert(default)
-    value = cfg.parameters[name]
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"parameter {name!r}: bad value {value!r} ({exc})") from exc
+    def from_text(self, text: str):
+        """``parse(text)``; a text it rejects is a ConfigError naming the parameter."""
+        try:
+            return self.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"parameter {self.name!r}: bad value {text!r} ({exc})") from exc
+
+    def value(self, cfg: ExperimentConfig):
+        """The parameter of ``cfg`` (or the default) passed through ``convert``;
+        None for a computed default.  A missing required parameter or a value
+        that ``convert`` rejects is a ConfigError."""
+        if self.name not in cfg.parameters:
+            if self.default is REQUIRED:
+                raise ConfigError(
+                    f"parameter {self.name!r}: required by experiment {cfg.experiment!r}"
+                )
+            return None if self.default is None else self.convert(self.default)
+        value = cfg.parameters[self.name]
+        try:
+            return self.convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"parameter {self.name!r}: bad value {value!r} ({exc})") from exc
 
 
 def _integer(value) -> int:
@@ -314,19 +332,66 @@ def _positive(convert):
     return checked
 
 
-def _vertex(cfg: ExperimentConfig, net: Network, name: str) -> int:
-    x = _param(cfg, name, _integer)
-    if not 0 <= x < net.vertex_count:
-        raise ConfigError(
-            f"parameter {name!r}: vertex {x} outside the network's {net.vertex_count} vertices"
-        )
-    return x
+def edge_pairs(text: str) -> list[list[int]]:
+    """edges, e.g. '0-1;1-2'"""
+    pairs = []
+    for chunk in text.replace(";", " ").split():
+        a, _, b = chunk.partition("-")
+        pairs.append([int(a), int(b)])
+    return pairs
 
 
-def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
-    net = parse_network_spec(cfg.network)
-    x = _vertex(cfg, net, "x")
-    y = _vertex(cfg, net, "y")
+def _edges(values) -> list[tuple[int, int]]:
+    """At least one edge, as integer pairs: with none, every replica avoids
+    the edges and the record passes by construction."""
+    edges = [(_integer(a), _integer(b)) for a, b in values]
+    if not edges:
+        raise ValueError("no edge given")
+    return edges
+
+
+def _points(text: str) -> list[list[int]]:
+    """vertex coordinates, e.g. '0,0,0;1,0,0' (default: the origin)"""
+    return [[int(c) for c in chunk.split(",")] for chunk in text.split(";") if chunk]
+
+
+def _floats(text: str) -> list[float]:
+    """comma-separated values, e.g. '0.25,1,4'"""
+    return [float(v) for v in text.split(",") if v]
+
+
+def _lambda_grid(values) -> list[float]:
+    """At least one finite positive lambda; record ids ``f"{lam:g}"`` distinct."""
+    grid = [_positive(float)(v) for v in values]
+    if not grid:
+        raise ValueError("no value given")
+    if len({f"{lam:g}" for lam in grid}) < len(grid):
+        raise ValueError("two values print alike under %g, so their record ids repeat")
+    return grid
+
+
+def _box_params(d: int, n: int, u: float) -> tuple[Param, ...]:
+    """Dimension ``d``, box size ``n`` and intensity ``u`` with these defaults."""
+    return (
+        Param("d", int, _positive(_integer), d),
+        Param("n", int, _positive(_integer), n),
+        Param("u", float, _positive(float), u),
+    )
+
+
+# -- experiments ---------------------------------------------------------------
+
+
+def _exp_connectivity(cfg: ExperimentConfig, net: Network, x: int, y: int) -> list[TestRecord]:
+    """cable-cluster connectivity vs the arcsine law"""
+    for name, vertex in (("x", x), ("y", y)):
+        if not 0 <= vertex < net.vertex_count:
+            raise ConfigError(
+                f"parameter {name!r}: vertex {vertex} outside the network's "
+                f"{net.vertex_count} vertices"
+            )
+    if x == y:
+        raise ConfigError("parameter 'y': equals 'x', so P(x <-> y) = 1 holds by construction")
     gop = compute_green(net)
     exact = connectivity_probability(gop, x, y)
 
@@ -353,9 +418,8 @@ def _exp_connectivity(cfg: ExperimentConfig) -> list[TestRecord]:
     ]
 
 
-def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
-    net = parse_network_spec(cfg.network)
-    edges = _param(cfg, "edges", lambda v: [(_integer(a), _integer(b)) for a, b in v])
+def _exp_det_ratio(cfg: ExperimentConfig, net: Network, edges: list) -> list[TestRecord]:
+    """loop edge-avoidance vs the determinant ratio"""
     gop = compute_green(net)
     edge_ids = sorted(net.edge_id(u, v) for u, v in edges)
     exact = sqrt_det_ratio(net, edge_ids)
@@ -375,17 +439,16 @@ def _exp_det_ratio(cfg: ExperimentConfig) -> list[TestRecord]:
     ]
 
 
-def _exp_coupling_law(cfg: ExperimentConfig) -> list[TestRecord]:
-    net = parse_network_spec(cfg.network)
+def _exp_coupling_law(cfg: ExperimentConfig, net: Network) -> list[TestRecord]:
+    """coupled soup-and-sign field vs the free-field law"""
     gop = compute_green(net)
     fields, violations = collect_coupled_fields(net, gop, cfg.replicas, cfg.seed)
     return field_law_records(net, gop, fields, violations)
 
 
-def _exp_occupation(cfg: ExperimentConfig) -> list[TestRecord]:
-    net = parse_network_spec(cfg.network)
+def _exp_occupation(cfg: ExperimentConfig, net: Network, alpha: float) -> list[TestRecord]:
+    """loop-soup occupation field vs alpha G and, at alpha 1/2, phi^2/2"""
     gop = compute_green(net)
-    alpha = _param(cfg, "alpha", _positive(float), 0.5)
     sampler = LoopSoupSampler(net, gop, alpha)
     alive = net.alive
 
@@ -433,20 +496,10 @@ def _exp_occupation(cfg: ExperimentConfig) -> list[TestRecord]:
 QUAD_REL_ERR = 1e-8
 
 
-def _lambda_grid(values) -> list[float]:
-    """At least one finite positive lambda; record ids ``f"{lam:g}"`` distinct."""
-    grid = [_positive(float)(v) for v in values]
-    if not grid:
-        raise ValueError("no value given")
-    if len({f"{lam:g}" for lam in grid}) < len(grid):
-        raise ValueError("two values print alike under %g, so their record ids repeat")
-    return grid
-
-
-def _exp_bridge(cfg: ExperimentConfig) -> list[TestRecord]:
-    grid = _param(cfg, "lambda_grid", _lambda_grid, [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0])
+def _exp_bridge(cfg: ExperimentConfig, lambda_grid: list[float]) -> list[TestRecord]:
+    """zero-probability closed form vs quadrature and MC"""
     records = []
-    for idx, lam in enumerate(grid):
+    for idx, lam in enumerate(lambda_grid):
         # realize lambda with T = 1/2 and l1 = l2 = sqrt(lam)
         problem = bridges.BridgeProblem(0.5, math.sqrt(lam), math.sqrt(lam))
         closed = bridges.zero_probability_closed_form(problem)
@@ -474,14 +527,15 @@ def _exp_bridge(cfg: ExperimentConfig) -> list[TestRecord]:
     return records
 
 
-def _exp_interlacement(cfg: ExperimentConfig) -> list[TestRecord]:
-    d = _param(cfg, "d", _positive(_integer), 3)
-    n = _param(cfg, "n", _positive(_integer), 6)
-    u = _param(cfg, "u", _positive(float), 0.25)
-    coords = _param(cfg, "k", lambda v: [[_integer(c) for c in point] for point in v], [[0] * d])
+def _exp_interlacement(
+    cfg: ExperimentConfig, d: int, n: int, u: float, k: list | None, star_replicas: int | None
+) -> list[TestRecord]:
+    """vacant-set and occupation laws on a box"""
+    coords = [[0] * d] if k is None else k
     if any(len(point) != d for point in coords):
         raise ConfigError(f"parameter 'k': every point needs {d} coordinates")
-    star_replicas = _param(cfg, "star_replicas", _positive(_integer), max(cfg.replicas // 4, 1))
+    if star_replicas is None:
+        star_replicas = max(cfg.replicas // 4, 1)
 
     net = build_box_network(d, n, 1.0, 0.0, "absorbing")
     k_ids = [box_vertex_index(d, n, c) for c in coords]
@@ -540,57 +594,71 @@ def _exp_interlacement(cfg: ExperimentConfig) -> list[TestRecord]:
     return records
 
 
-def _exp_isomorphism(cfg: ExperimentConfig) -> list[TestRecord]:
-    d = _param(cfg, "d", _positive(_integer), 2)
-    n = _param(cfg, "n", _positive(_integer), 5)
-    u = _param(cfg, "u", _positive(float), 0.5)
+def _exp_isomorphism(cfg: ExperimentConfig, d: int, n: int, u: float) -> list[TestRecord]:
+    """occupation-plus-field identity on the star graph"""
     star = build_star_graph(d, n)
     return isomorphism_check(star, u, cfg.replicas, cfg.seed)
 
 
-def _exp_levelset(cfg: ExperimentConfig) -> list[TestRecord]:
-    d = _param(cfg, "d", _positive(_integer), 2)
-    n = _param(cfg, "n", _positive(_integer), 5)
-    u = _param(cfg, "u", _positive(float), 1.0)
+def _exp_levelset(cfg: ExperimentConfig, d: int, n: int, u: float) -> list[TestRecord]:
+    """structural containment of the visited set"""
     star = build_star_graph(d, n)
     return levelset_containment_check(star, u, cfg.replicas, cfg.seed)
 
 
+class Experiment(NamedTuple):
+    """One experiment id: its run function, whether it reads the config's
+    ``network``, the command line's default replica count and its parameters.
+    The config check, the parameter conversion and the subcommand read it."""
+
+    run: Callable[..., list[TestRecord]]
+    network: bool
+    replicas: int
+    params: tuple[Param, ...] = ()
+
+
 EXPERIMENTS = {
-    "connectivity": _exp_connectivity,
-    "det-ratio": _exp_det_ratio,
-    "coupling-law": _exp_coupling_law,
-    "occupation-field": _exp_occupation,
-    "bridge-check": _exp_bridge,
-    "interlacement": _exp_interlacement,
-    "isomorphism-check": _exp_isomorphism,
-    "levelset-check": _exp_levelset,
-}
-
-# the experiments that read the 'network' field; the others build their own
-NETWORK_EXPERIMENTS = {"connectivity", "det-ratio", "coupling-law", "occupation-field"}
-
-# the parameter names each experiment reads; any other name is rejected
-PARAMETERS = {
-    "connectivity": {"x", "y"},
-    "det-ratio": {"edges"},
-    "coupling-law": set(),
-    "occupation-field": {"alpha"},
-    "bridge-check": {"lambda_grid"},
-    "interlacement": {"d", "n", "u", "k", "star_replicas"},
-    "isomorphism-check": {"d", "n", "u"},
-    "levelset-check": {"d", "n", "u"},
+    "connectivity": Experiment(
+        _exp_connectivity, True, 100_000, (Param("x", int, _integer), Param("y", int, _integer))
+    ),
+    "det-ratio": Experiment(_exp_det_ratio, True, 100_000, (Param("edges", edge_pairs, _edges),)),
+    "coupling-law": Experiment(_exp_coupling_law, True, 100_000),
+    "occupation-field": Experiment(
+        _exp_occupation, True, 100_000, (Param("alpha", float, _positive(float), 0.5),)
+    ),
+    "bridge-check": Experiment(
+        _exp_bridge,
+        False,
+        100_000,
+        (Param("lambda_grid", _floats, _lambda_grid, [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0]),),
+    ),
+    "interlacement": Experiment(
+        _exp_interlacement,
+        False,
+        20_000,
+        (
+            *_box_params(3, 6, 0.25),
+            Param("k", _points, lambda v: [[_integer(c) for c in point] for point in v], None),
+            Param("star_replicas", int, _positive(_integer), None),
+        ),
+    ),
+    "isomorphism-check": Experiment(_exp_isomorphism, False, 20_000, _box_params(2, 5, 0.5)),
+    "levelset-check": Experiment(_exp_levelset, False, 10_000, _box_params(2, 5, 1.0)),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    """Dispatch to the experiment, aggregate records, optionally write files."""
-    records = EXPERIMENTS[config.experiment](config)
+    """Convert the parameters, run the experiment on them, aggregate its
+    records and optionally write files."""
+    entry = EXPERIMENTS[config.experiment]
+    values = {param.name: param.value(config) for param in entry.params}
+    if entry.network:
+        values["net"] = parse_network_spec(config.network)
     report = Report(
         experiment=config.experiment,
         seed=config.seed,
         config=config.to_dict(),
-        records=tuple(records),
+        records=tuple(entry.run(config, **values)),
     )
     if config.output:
         report.write(config.output)

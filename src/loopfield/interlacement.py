@@ -139,20 +139,9 @@ def compute_capacity(net: Network, k_vertices) -> CapacityReport:
 
     if meta is not None:
         big = build_box_network(
-            meta["dimension"],
-            meta["half_width"] + 4,
-            meta["conductance"],
-            meta["killing"],
-            meta["boundary_mode"],
+            d, n + 4, meta["conductance"], meta["killing"], meta["boundary_mode"]
         )
-        remap = [
-            box_vertex_index(
-                meta["dimension"],
-                meta["half_width"] + 4,
-                box_vertex_coords(meta["dimension"], meta["half_width"], x),
-            )
-            for x in k_ids
-        ]
+        remap = [box_vertex_index(d, n + 4, box_vertex_coords(d, n, x)) for x in k_ids]
         refined = float(_equilibrium_from_green(big, remap).sum())
         drift = abs(refined - capacity) / capacity
 

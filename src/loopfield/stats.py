@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 from scipy.special import erf
 
 __all__ = [
@@ -79,6 +78,9 @@ def z_score(estimate: float, target: float, sem: float) -> float:
 
 def ks_pvalue(samples: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov p-value of samples against a cdf callable."""
+    # scipy.stats is imported by the runs that test a law, not by every import
+    from scipy import stats as sps
+
     return float(sps.kstest(np.asarray(samples, dtype=float), cdf).pvalue)
 
 
@@ -100,6 +102,8 @@ def ks_record(test_id: str, formula: str, samples: np.ndarray, cdf, **values) ->
 
 
 def normal_cdf(x, sigma: float):
+    from scipy import stats as sps
+
     return sps.norm.cdf(x, scale=sigma)
 
 

@@ -11,11 +11,12 @@ from loopfield import (
     couple,
     occupation_field,
 )
+from loopfield import coupling
 from loopfield.coupling import collect_coupled_fields, field_law_records
 from loopfield.gff import cable_open_probability
 from loopfield.harness import parse_network_spec
 from loopfield.stats import mc_mean, z_score
-from loopfield.streams import derive_stream
+from loopfield.streams import derive_stream, replicate_chunks
 
 
 def test_rejects_wrong_intensity(two_vertex):
@@ -98,13 +99,17 @@ def test_absent_edge_functional_identity(path3):
     net, gop = path3
     eid = net.edge_id(0, 1)
     sampler = LoopSoupSampler(net, gop, 0.5)
-    hits = np.empty(30_000)
-    for r in range(hits.size):
-        rng = derive_stream(56, r)
-        coupled = couple(net, sampler.sample(rng), rng)
+
+    # replica r draws what couple(net, sampler.sample(rng), rng) draws on derive_stream(56, r)
+    def one(_i, rng):
+        return coupling._draw(net, sampler.sample(rng), rng)
+
+    hits = []
+    for rows in replicate_chunks(30_000, 56, one, 2 * net.vertex_count + net.edge_count):
+        merged = coupling._couple_block(net, rows)[2]
         # the merged edges are the traversed ones plus the opened ones
-        hits[r] = 0.0 if coupled.merged_clusters.edges[eid] else 1.0
-    lhs, sem_lhs = mc_mean(hits)
+        hits.append(~merged.edges[:, eid])
+    lhs, sem_lhs = mc_mean(np.concatenate(hits).astype(float))
 
     rng = derive_stream(57, 0)
     psi = gop.apply_chol(rng.standard_normal((200_000, 3)))

@@ -1,17 +1,21 @@
+import argparse
+import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from loopfield import streams
-from loopfield.cli import main
+from loopfield.cli import build_parser, main
 from loopfield.harness import (
     ConfigError,
     EXPERIMENTS,
-    NETWORK_EXPERIMENTS,
-    PARAMETERS,
     ExperimentConfig,
     parse_network_spec,
     run_experiment,
@@ -187,7 +191,12 @@ def test_report_csv_has_full_precision(tmp_path):
 
 
 def test_every_acceptance_experiment_is_registered():
-    assert set(PARAMETERS) == set(EXPERIMENTS)
+    for name, entry in EXPERIMENTS.items():
+        # the run function takes the table's parameters, and the network if it reads one
+        names = [param.name for param in entry.params]
+        expected = ["cfg"] + (["net"] if entry.network else []) + names
+        assert list(inspect.signature(entry.run).parameters) == expected, name
+        assert entry.replicas >= 1 and entry.run.__doc__, name
     assert set(EXPERIMENTS) == {
         "connectivity",
         "det-ratio",
@@ -385,6 +394,22 @@ GRID = PARAMETER + "'lambda_grid': "
             {"experiment": "connectivity", "network": "path:3", "parameters": {"x": 0.7, "y": 2}},
             PARAMETER + "'x': bad value 0.7 (must be an integer)",
         ),
+        (["connectivity", "--net", "two-vertex", "--x", "a", "--y", "1"], None, PARAMETER + "'x'"),
+        (["interlacement", "--d", "2.5"], None, PARAMETER + "'d'"),
+        (
+            ["sample-gff", "--net", "two-vertex", "--replicas", "abc"],
+            None,
+            "error: argument --replicas: invalid int value",
+        ),
+        (["det-ratio", "--net", "path:3"], None, "error: the following arguments are required"),
+        ([], None, "error: the following arguments are required: command"),
+        (["det-ratio", "--net", "path:3", "--edges", ";"], None, PARAMETER + "'edges'"),
+        (
+            None,
+            {"experiment": "det-ratio", "network": "path:3", "parameters": {"edges": []}},
+            PARAMETER + "'edges'",
+        ),
+        (["connectivity", "--net", "path:3", "--x", "1", "--y", "1"], None, PARAMETER + "'y'"),
     ],
     ids=[
         "vertex-out-of-range",
@@ -443,6 +468,14 @@ GRID = PARAMETER + "'lambda_grid': "
         "network-non-integral-vertices",
         "network-non-integral-edge-end",
         "connectivity-non-integral-x",
+        "connectivity-x-not-a-number",
+        "interlacement-fractional-d-flag",
+        "sample-gff-replicas-not-a-number",
+        "det-ratio-edges-flag-missing",
+        "no-subcommand",
+        "det-ratio-no-edge-flag",
+        "det-ratio-no-edge",
+        "connectivity-x-equals-y",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config, message):
@@ -471,7 +504,7 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config, message):
     ],
 )
 def test_parameter_ranges_name_the_parameter(experiment, name, value):
-    network = "path:3" if experiment in NETWORK_EXPERIMENTS else None
+    network = "path:3" if EXPERIMENTS[experiment].network else None
     cfg = ExperimentConfig(experiment, seed=1, network=network, parameters={name: value})
     with pytest.raises(ConfigError, match=f"parameter '{name}'.*must be positive"):
         run_experiment(cfg)
@@ -495,7 +528,7 @@ def test_parameter_ranges_name_the_parameter(experiment, name, value):
 )
 def test_integer_parameters_reject_fractions(experiment, parameters, name):
     # int() would truncate these to another vertex, edge or box size
-    network = "path:3" if experiment in NETWORK_EXPERIMENTS else None
+    network = "path:3" if EXPERIMENTS[experiment].network else None
     cfg = ExperimentConfig(experiment, seed=1, network=network, parameters=parameters)
     with pytest.raises(ConfigError, match=f"parameter '{name}'.*must be an integer"):
         run_experiment(cfg)
@@ -570,3 +603,65 @@ def test_cli_interlacement_default_k_is_the_origin(tmp_path, capsys):
     origin = box_vertex_index(2, 4, [0, 0])
     assert report["config"]["parameters"] == {"d": 2, "n": 4, "u": 0.25}
     assert f"occupation-mean-u-v{origin}" in [r["test"] for r in report["records"]]
+
+
+# one case per experiment id: the subcommand's flags and the config they stand for
+TABLE_VIEWS = [
+    ("connectivity", ["--net", "grid:3x3", "--x", "0", "--y", "8"], "grid:3x3", {"x": 0, "y": 8}),
+    ("det-ratio", ["--net", "path:3", "--edges", "0-1;1-2"], "path:3", {"edges": [[0, 1], [1, 2]]}),
+    ("coupling-law", ["--net", "path:3"], "path:3", {}),
+    ("occupation-field", ["--net", "two-vertex"], "two-vertex", {"alpha": 0.5}),
+    ("bridge-check", ["--lambda-grid", "0.25,4"], None, {"lambda_grid": [0.25, 4.0]}),
+    (
+        "interlacement",
+        ["--d", "2", "--n", "4", "--star-replicas", "100"],
+        None,
+        {"d": 2, "n": 4, "u": 0.25, "star_replicas": 100},
+    ),
+    ("isomorphism-check", ["--n", "3", "--u", "0.75"], None, {"d": 2, "n": 3, "u": 0.75}),
+    ("levelset-check", ["--n", "4"], None, {"d": 2, "n": 4, "u": 1.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, flags, network, parameters", TABLE_VIEWS, ids=[c[0] for c in TABLE_VIEWS]
+)
+def test_cli_is_a_view_of_the_table(tmp_path, capsys, experiment, flags, network, parameters):
+    # a constant default is written into the parameters, a computed one is not
+    out = str(tmp_path / "report.csv")
+    code = main([experiment, *flags, "--seed", "13", "--replicas", "300", "--out", out])
+    written = (tmp_path / "report.json").read_text()
+    cfg = ExperimentConfig(
+        experiment,
+        seed=13,
+        replicas=300,
+        network=network,
+        parameters=parameters,
+        # bridge-check writes its own files and echoes no output
+        output=None if experiment == "bridge-check" else out,
+    )
+    report = run_experiment(cfg)
+    assert written == report.to_json() + "\n"
+    assert code == (0 if report.all_passed else 1)
+
+
+def test_cli_subcommands_are_the_table_and_the_hand_written_ones():
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    hand_written = {"green", "sample-gff", "sample-loops", "couple", "run"}
+    assert set(subs.choices) == set(EXPERIMENTS) | hand_written
+    assert {entry[0] for entry in TABLE_VIEWS} == set(EXPERIMENTS)
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    # only the runs that test a law by KS or integrate a bridge pay for these
+    code = (
+        "import sys, loopfield, loopfield.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
