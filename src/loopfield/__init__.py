@@ -10,7 +10,6 @@ from .network import (
     path_network,
     two_vertex_network,
     modified_network,
-    network_to_json,
     network_from_json,
 )
 from .green import (

@@ -31,6 +31,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     Param,
+    _fmt,
     check_output,
     check_seed_and_replicas,
     edge_pairs,
@@ -41,8 +42,6 @@ from .loopsoup import LoopSoupSampler, occupation_field, traversed_edges
 from .network import NetworkError
 from .streams import replicate
 
-FMT = ".17g"
-
 
 def _emit(lines, out: str | None) -> None:
     text = "\n".join(lines) + "\n"
@@ -50,10 +49,6 @@ def _emit(lines, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _fmt(v) -> str:
-    return format(float(v), FMT)
 
 
 def _add_common(sub, replicas_default=100_000):

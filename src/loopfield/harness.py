@@ -527,44 +527,42 @@ def _exp_bridge(cfg: ExperimentConfig, lambda_grid: list[float]) -> list[TestRec
     return records
 
 
+# layers that K keeps from the absorbing boundary, so the box stands for Z^d
+CAPACITY_MARGIN = 2
+
+
 def _exp_interlacement(
     cfg: ExperimentConfig, d: int, n: int, u: float, k: list | None, star_replicas: int | None
 ) -> list[TestRecord]:
     """vacant-set and occupation laws on a box"""
     coords = [[0] * d] if k is None else k
-    if any(len(point) != d for point in coords):
-        raise ConfigError(f"parameter 'k': every point needs {d} coordinates")
+    if not coords or any(len(point) != d for point in coords):
+        raise ConfigError(f"parameter 'k': needs one or more points of {d} coordinates")
+    star = build_star_graph(d, n)
+    reach = n - CAPACITY_MARGIN
+    if any(abs(c) > reach for point in coords for c in point):
+        raise ConfigError(
+            f"parameter 'k': every coordinate must lie in [-{reach}, {reach}], "
+            f"{CAPACITY_MARGIN} layers inside the absorbing boundary"
+        )
     if star_replicas is None:
         star_replicas = max(cfg.replicas // 4, 1)
 
-    net = build_box_network(d, n, 1.0, 0.0, "absorbing")
-    k_ids = [box_vertex_index(d, n, c) for c in coords]
-    cap = compute_capacity(net, k_ids)
-    records = [
-        TestRecord(
-            test_id="capacity-boundary-drift",
-            formula="cap(K) stability under box growth (informational)",
-            passed=True,
-            exact=cap.capacity,
-            estimate=cap.capacity_refined,
-            stderr=cap.drift,
-        )
-    ]
-
+    net = star.network
+    cap = compute_capacity(net, [box_vertex_index(d, n, c) for c in coords])
     occ_trace, visited_trace = trace_occupation_batch(net, cap, u, cfg.replicas, cfg.seed)
-    star = build_star_graph(d, n)
-    occ_star_full, _, hit_star = star_excursion_batch(star, u, star_replicas, cfg.seed + 1)
-    k_alive = net.alive_pos[k_ids]
-    occ_star = occ_star_full[:, k_alive]
-    hit_star_k = hit_star[:, k_alive]
+    occ_star, _, hit_star = star_excursion_batch(star, u, star_replicas, cfg.seed + 1)
+    k_alive = net.alive_pos[list(cap.vertices)]
+    occ_star, hit_star = occ_star[:, k_alive], hit_star[:, k_alive]
 
+    records = []
     for j, x in enumerate(cap.vertices):
         est, sem = mc_mean(occ_trace[:, j])
         records.append(z_record(f"occupation-mean-u-v{x}", "E[L^x(I^u)] = u", u, est, sem))
 
     target_void = math.exp(-u * cap.capacity)
     vacant = "P(K in V^u) = exp(-u cap(K))"
-    est_star, sem_star = mc_mean((~hit_star_k.any(axis=1)).astype(float))
+    est_star, sem_star = mc_mean((~hit_star.any(axis=1)).astype(float))
     est_tr, sem_tr = mc_mean((~visited_trace.any(axis=1)).astype(float))
     records.append(z_record("vacant-probability-star", vacant, target_void, est_star, sem_star))
     records.append(z_record("vacant-probability-trace", vacant, target_void, est_tr, sem_tr))

@@ -26,7 +26,7 @@ import numpy as np
 from .clusters import build_partition
 from .gff import cable_open_probability
 from .green import compute_green
-from .network import Network, NetworkError, box_vertex_coords, box_vertex_index, build_box_network
+from .network import Network, NetworkError, build_box_network
 from .stats import TestRecord, mc_mean, z_record
 from .streams import derive_stream
 
@@ -41,8 +41,6 @@ __all__ = [
     "levelset_field",
     "levelset_containment_check",
 ]
-
-CAPACITY_MARGIN = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,34 +81,17 @@ def build_star_graph(dimension: int, half_width: int) -> StarGraph:
 
 @dataclass(frozen=True, eq=False)
 class CapacityReport:
-    """Equilibrium weights on K, their total mass and a boundary-drift probe."""
+    """Equilibrium weights on K (sorted vertex ids) and their total mass."""
 
     vertices: tuple[int, ...]
     equilibrium: np.ndarray
     capacity: float
-    margin: int | None
-    capacity_refined: float | None
-    drift: float | None
-
-
-def _equilibrium_from_green(net: Network, k_ids: list[int]) -> np.ndarray:
-    # e_K solves G_KK e_K = 1, which is sum_y G(x, y) e_K(y) = 1 on K
-    gop = compute_green(net)
-    g_kk = np.array([[gop.entry(x, y) for y in k_ids] for x in k_ids])
-    weights = np.linalg.solve(g_kk, np.ones(len(k_ids)))
-    if weights.min() < -1e-10:
-        raise ArithmeticError(f"negative equilibrium weight {weights.min()!r}")
-    return np.clip(weights, 0.0, None)
 
 
 def compute_capacity(net: Network, k_vertices) -> CapacityReport:
     """Equilibrium measure ``e_K(x) = lambda(x) P_x(no return to K)`` and its
-    total mass, from ``G_KK e_K = 1`` with k columns of the Green matrix.
-
-    For box networks the distance of K to the absorbing boundary is checked
-    (margin of at least 2 layers) and the capacity is recomputed on a box
-    enlarged by 4 to estimate the truncation drift.
-    """
+    total mass on ``net``, from ``G_KK e_K = 1`` with k columns of its Green
+    matrix."""
     k_ids = sorted({int(x) for x in k_vertices})
     if not k_ids:
         raise ValueError("K must be non-empty")
@@ -118,34 +99,17 @@ def compute_capacity(net: Network, k_vertices) -> CapacityReport:
         if net.alive_pos[x] < 0:
             raise ValueError(f"vertex {x} of K is absorbing")
 
-    margin = None
-    refined = None
-    drift = None
-    meta = net.meta if net.meta and net.meta.get("kind") == "box" else None
-    if meta is not None:
-        d, n = meta["dimension"], meta["half_width"]
-        reach = max(max(abs(c) for c in box_vertex_coords(d, n, x)) for x in k_ids)
-        margin = n - reach
-        if margin < CAPACITY_MARGIN:
-            raise ValueError(
-                f"K reaches within {margin} layers of the absorbing boundary "
-                f"(need {CAPACITY_MARGIN})"
-            )
-
-    weights = _equilibrium_from_green(net, k_ids)
+    # e_K solves G_KK e_K = 1, which is sum_y G(x, y) e_K(y) = 1 on K
+    gop = compute_green(net)
+    g_kk = np.array([[gop.entry(x, y) for y in k_ids] for x in k_ids])
+    weights = np.linalg.solve(g_kk, np.ones(len(k_ids)))
+    if weights.min() < -1e-10:
+        raise ArithmeticError(f"negative equilibrium weight {weights.min()!r}")
+    weights = np.clip(weights, 0.0, None)
     capacity = float(weights.sum())
     if capacity <= 0:
         raise ArithmeticError("capacity must be positive")
-
-    if meta is not None:
-        big = build_box_network(
-            d, n + 4, meta["conductance"], meta["killing"], meta["boundary_mode"]
-        )
-        remap = [box_vertex_index(d, n + 4, box_vertex_coords(d, n, x)) for x in k_ids]
-        refined = float(_equilibrium_from_green(big, remap).sum())
-        drift = abs(refined - capacity) / capacity
-
-    return CapacityReport(tuple(k_ids), weights, capacity, margin, refined, drift)
+    return CapacityReport(tuple(k_ids), weights, capacity)
 
 
 # -- batched walkers ---------------------------------------------------------
@@ -179,33 +143,29 @@ def _slot_tables(net: Network) -> tuple[np.ndarray, np.ndarray, int]:
 
 def _run_batch(
     net: Network,
-    start_pos: np.ndarray,
-    rep_ids: np.ndarray,
+    pos: np.ndarray,
+    rep: np.ndarray,
     replicas: int,
     rng: np.random.Generator,
-    occ_cols: np.ndarray | None,
-    edge_hit: np.ndarray | None,
-    vertex_hit: np.ndarray | None,
-):
-    """Advance all walkers to absorption, accumulating per-replica tallies.
-
-    ``occ_cols`` maps alive positions to occupation columns (-1 untracked).
-    """
+    cols: np.ndarray,
+    edge_hit: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the walkers at alive positions ``pos`` of replicas ``rep`` to
+    absorption.  Returns each replica's occupation and visit flags over the
+    columns that ``cols`` maps alive positions to (-1 untracked); the
+    traversed edges are flagged in ``edge_hit`` when it is given."""
     target, edge, two_d = _slot_tables(net)
-    n_cols = int(occ_cols.max()) + 1 if occ_cols is not None and occ_cols.size else 0
-    occ = np.zeros((replicas, max(n_cols, 1)))
-    pos = start_pos
-    rep = rep_ids
+    occ = np.zeros((replicas, int(cols.max()) + 1))
+    visited = np.zeros(occ.shape, dtype=bool)
     mean_hold = 1.0 / two_d
     while pos.size:
         holds = rng.exponential(mean_hold, pos.size)
-        if occ_cols is not None:
-            cols = occ_cols[pos]
-            sel = cols >= 0
-            if sel.any():
-                np.add.at(occ, (rep[sel], cols[sel]), holds[sel])
-        if vertex_hit is not None:
-            vertex_hit[rep, pos] = True
+        col = cols[pos]
+        sel = col >= 0
+        if sel.any():
+            at = (rep[sel], col[sel])
+            np.add.at(occ, at, holds[sel])
+            visited[at] = True
         slots = rng.integers(0, two_d, pos.size)
         if edge_hit is not None:
             edge_hit[rep, edge[pos, slots]] = True
@@ -213,7 +173,7 @@ def _run_batch(
         keep = nxt >= 0
         pos = nxt[keep]
         rep = rep[keep]
-    return occ
+    return occ, visited
 
 
 def trace_occupation_batch(
@@ -232,17 +192,14 @@ def trace_occupation_batch(
     """
     rng = derive_stream(seed, 0)
     counts = rng.poisson(u * cap_report.capacity, replicas)
-    total = int(counts.sum())
     rep_ids = np.repeat(np.arange(replicas), counts)
     e_cdf = np.cumsum(cap_report.equilibrium) / cap_report.capacity
     k_alive = net.alive_pos[list(cap_report.vertices)]
-    start_pos = k_alive[np.searchsorted(e_cdf, rng.random(total), side="right")]
+    start_pos = k_alive[np.searchsorted(e_cdf, rng.random(rep_ids.size), side="right")]
 
-    occ_cols = np.full(net.alive.size, -1, dtype=np.int64)
-    occ_cols[k_alive] = np.arange(len(cap_report.vertices))
-    vertex_hit = np.zeros((replicas, net.alive.size), dtype=bool)
-    occ = _run_batch(net, start_pos, rep_ids, replicas, rng, occ_cols, None, vertex_hit)
-    return occ, vertex_hit[:, k_alive]
+    cols = np.full(net.alive.size, -1, dtype=np.int64)
+    cols[k_alive] = np.arange(k_alive.size)
+    return _run_batch(net, start_pos, rep_ids, replicas, rng, cols)
 
 
 def star_excursion_batch(
@@ -260,17 +217,15 @@ def star_excursion_batch(
     net = star.network
     rng = derive_stream(seed, 0)
     counts = rng.poisson(u * star.star_rate, replicas)
-    total = int(counts.sum())
     rep_ids = np.repeat(np.arange(replicas), counts)
-    picks = rng.integers(0, star.star_rate, total)
+    picks = rng.integers(0, star.star_rate, rep_ids.size)
     start_pos = net.alive_pos[star.entry_vertices[picks]]
 
     edge_hit = np.zeros((replicas, net.edge_count), dtype=bool) if track_edges else None
     if track_edges:
         edge_hit[rep_ids, star.entry_edges[picks]] = True
-    vertex_hit = np.zeros((replicas, net.alive.size), dtype=bool)
-    occ_cols = np.arange(net.alive.size, dtype=np.int64)
-    occ = _run_batch(net, start_pos, rep_ids, replicas, rng, occ_cols, edge_hit, vertex_hit)
+    cols = np.arange(net.alive.size)
+    occ, vertex_hit = _run_batch(net, start_pos, rep_ids, replicas, rng, cols, edge_hit)
     return occ, edge_hit, vertex_hit
 
 

@@ -35,13 +35,15 @@ __all__ = [
     "path_network",
     "two_vertex_network",
     "modified_network",
-    "network_to_json",
     "network_from_json",
     "box_vertex_index",
     "box_vertex_coords",
 ]
 
 BOUNDARY_MODES = ("absorbing", "killed_uniform", "halfplane_floor")
+
+# the keys of a network document
+DOCUMENT_KEYS = ("vertices", "edges", "killing")
 
 
 class NetworkError(ValueError):
@@ -70,7 +72,6 @@ class Network:
     vertex_count: int
     edges: InitVar[Iterable]
     killing: np.ndarray
-    meta: dict | None = None
     allow_disconnected: bool = False
 
     # derived, filled in __post_init__
@@ -161,9 +162,6 @@ class Network:
     def edge_count(self) -> int:
         return self.conductances.size
 
-    def is_absorbing(self, x: int) -> bool:
-        return not math.isfinite(self.killing[x])
-
     def edge_id(self, u: int, v: int) -> int:
         return int(self.edge_ids([u], [v])[0])
 
@@ -192,28 +190,22 @@ class Network:
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        doc = {
-            "vertices": self.vertex_count,
-            "edges": [[*e, c] for e, c in zip(self.edge_ends.tolist(), self.conductances.tolist())],
-            "killing": [float(k) for k in self.killing],
-        }
-        if self.meta is not None:
-            doc["box"] = dict(self.meta)
-        return doc
-
     @classmethod
     def from_dict(cls, doc: dict) -> "Network":
+        """The network of a document with exactly the keys ``vertices``,
+        ``edges`` and ``killing``; any other key is a NetworkError."""
         try:
             vertices = float(doc["vertices"])
             edges = doc["edges"]
             killing = np.array([float(k) for k in doc["killing"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise NetworkError(f"malformed network document: {exc}") from exc
+        for key in doc:
+            if key not in DOCUMENT_KEYS:
+                raise NetworkError(f"network key {key!r}: not one of {list(DOCUMENT_KEYS)}")
         if not vertices.is_integer():
             raise NetworkError(f"vertices must be an integer, not {doc['vertices']!r}")
-        meta = doc.get("box")
-        return cls(int(vertices), edges, killing, meta=meta, allow_disconnected=True)
+        return cls(int(vertices), edges, killing, allow_disconnected=True)
 
 
 # -- lattice coordinate bijection -----------------------------------------
@@ -279,16 +271,8 @@ def build_box_network(
     if boundary_mode == "halfplane_floor":
         kappa[offsets[-1] == 0] = math.inf
 
-    meta = {
-        "kind": "box",
-        "dimension": dimension,
-        "half_width": half_width,
-        "conductance": float(conductance),
-        "killing": float(killing),
-        "boundary_mode": boundary_mode,
-    }
     edges = _lattice_edges((side,) * dimension, range(dimension), conductance)
-    return Network(kappa.size, edges, kappa, meta=meta)
+    return Network(kappa.size, edges, kappa)
 
 
 def _lattice_edges(shape: tuple[int, ...], axes, conductance: float) -> np.ndarray:
@@ -359,10 +343,6 @@ def modified_network(net: Network, removed_edges: Iterable) -> Network:
     np.add.at(kappa, net.edge_ends[cut].ravel(), np.repeat(net.conductances[cut], 2))
     kept = np.column_stack([net.edge_ends[~cut], net.conductances[~cut]])
     return Network(net.vertex_count, kept, kappa, allow_disconnected=True)
-
-
-def network_to_json(net: Network) -> str:
-    return json.dumps(net.to_dict())
 
 
 def network_from_json(text: str) -> Network:

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -366,6 +367,22 @@ GRID = PARAMETER + "'lambda_grid': "
         (["det-ratio", "--net", "two-vertex", "--edges", "abc"], None, PARAMETER + "'edges'"),
         (["green", "--net", "path:3", "--remove", "0-x"], None, PARAMETER + "'remove'"),
         (["interlacement", "--k", "a,b"], None, PARAMETER + "'k'"),
+        (["interlacement", "--k", ";"], None, PARAMETER + "'k'"),
+        (["interlacement", "--n", "5", "--k", "4,0,0"], None, PARAMETER + "'k'"),
+        (["interlacement", "--n", "5", "--k", "7,0,0"], None, PARAMETER + "'k'"),
+        (
+            [
+                "connectivity",
+                "--net",
+                '{"vertices": 2, "edges": [[0, 1, 1.0]], "killing": [1, 1], "bogus": 3}',
+                "--x",
+                "0",
+                "--y",
+                "1",
+            ],
+            None,
+            "error: network key 'bogus'",
+        ),
         (
             ["green", "--net", "path:3:k=inf"],
             None,
@@ -464,6 +481,10 @@ GRID = PARAMETER + "'lambda_grid': "
         "det-ratio-edges-not-a-number",
         "green-remove-not-a-number",
         "interlacement-k-not-a-number",
+        "interlacement-empty-k",
+        "interlacement-k-within-margin",
+        "interlacement-k-outside-box",
+        "network-unknown-key",
         "green-no-alive-vertex",
         "network-non-integral-vertices",
         "network-non-integral-edge-end",
@@ -651,6 +672,28 @@ def test_cli_subcommands_are_the_table_and_the_hand_written_ones():
     hand_written = {"green", "sample-gff", "sample-loops", "couple", "run"}
     assert set(subs.choices) == set(EXPERIMENTS) | hand_written
     assert {entry[0] for entry in TABLE_VIEWS} == set(EXPERIMENTS)
+
+
+def test_readme_command_lines_are_accepted(tmp_path, monkeypatch, capsys):
+    # every documented command line but `run` (which needs a config file)
+    # parses and runs; a renamed flag or subcommand would exit 2
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("loopfield ")]
+    lines = [argv for argv in lines if argv[0] != "run"]
+    assert len(lines) >= len(EXPERIMENTS)
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    monkeypatch.chdir(tmp_path)
+    rejected = []
+    for argv in lines:
+        sub = subs.choices.get(argv[0])
+        if sub is not None and "--replicas" in sub._option_string_actions:
+            argv = [*argv, "--replicas", "300"]
+        code, err = main(argv), capsys.readouterr().err
+        if code == 2:
+            rejected.append((argv, err))
+    assert rejected == []
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
