@@ -59,7 +59,12 @@ def _add_common(sub, replicas_default=100_000):
 
 class _Parser(argparse.ArgumentParser):
     """Rejects bad command lines like any other bad input: one ``error:``
-    line and exit code 2, without the usage block."""
+    line and exit code 2, without the usage block.  Each flag has one
+    spelling: a prefix of a flag is an unknown argument.  Subcommand parsers
+    are built from this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -189,22 +194,18 @@ def _dispatch(args) -> int:
         net = parse_network_spec(args.net)
         gop = compute_green(net)
         sampler = LoopSoupSampler(net, gop, args.alpha)
-        header = (
+        lines = [
             "replica,loop_count,"
             + ",".join(f"occ_{x}" for x in range(net.vertex_count))
             + ",cluster_count"
-        )
-
-        def row(r, rng):
-            soup = sampler.sample(rng)
-            text = f"{r},{soup.starts.size - 1}," + ",".join(
-                _fmt(v) for v in occupation_field(soup)
-            )
-            return text, traversed_edges(soup, net)
-
-        rows, traversed = zip(*replicate(args.replicas, args.seed, row))
-        counts = cluster_edges(np.array(traversed), net).cluster_count
-        _emit([header] + [f"{text},{count}" for text, count in zip(rows, counts)], args.out)
+        ]
+        for soups in sampler.blocks(args.replicas, args.seed):
+            loop_counts = np.diff(soups.replica_starts).tolist()
+            cluster_counts = cluster_edges(traversed_edges(soups, net), net).cluster_count.tolist()
+            for occ, loops, clusters in zip(occupation_field(soups), loop_counts, cluster_counts):
+                values = ",".join(_fmt(v) for v in occ)
+                lines.append(f"{len(lines) - 1},{loops},{values},{clusters}")
+        _emit(lines, args.out)
         return 0
 
     if cmd == "couple":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,11 +26,12 @@ from .green import GreenOperator, normalized_green
 from .loopsoup import LoopSoupSample, LoopSoupSampler, occupation_field, traversed_edges
 from .network import Network
 from .stats import TestRecord, ks_record, mc_mean, normal_cdf, z_record
-from .streams import replicate_chunks
+from .streams import replicate_chunks, resume, save_state
 
 __all__ = [
     "CoupledSample",
     "couple",
+    "coupled_blocks",
     "collect_coupled_fields",
     "field_law_records",
 ]
@@ -55,23 +57,34 @@ class CoupledSample:
     field: np.ndarray
 
 
-def _draw(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> np.ndarray:
-    """One replica's coupling inputs as a row: the soup's occupation field,
-    one uniform per edge and ``vertex_count`` sign bits.  Only the untraversed
-    edges draw their uniform, in edge-id order; the traversed ones read -1,
-    below every opening probability, so they are open."""
-    traversed = traversed_edges(soup, net)
-    uniforms = np.full(net.edge_count, -1.0)
-    uniforms[~traversed] = rng.random(net.edge_count - np.count_nonzero(traversed))
-    bits = rng.integers(0, 2, size=net.vertex_count)
-    return np.concatenate([occupation_field(soup), uniforms, bits])
+def _coupling_draws(net: Network, traversed: np.ndarray, each) -> tuple:
+    """The coupling draws of a block of replicas, after their soups': one
+    uniform per untraversed edge in edge-id order, then ``vertex_count``
+    sign bits.  ``each(fn)`` calls ``fn(i, rng)`` with replica i's generator
+    for every replica in order.  The traversed edges read uniform -1, below
+    every opening probability, so they are open."""
+    untraversed = ~traversed
+    counts = np.count_nonzero(untraversed, axis=1)
+    ends = np.cumsum(counts).tolist()
+    counts = counts.tolist()
+    drawn = np.empty(ends[-1])
+    bits = np.empty((len(counts), net.vertex_count), dtype=np.int64)
+
+    def one(i, rng):
+        drawn[ends[i] - counts[i] : ends[i]] = rng.random(counts[i])
+        bits[i] = rng.integers(0, 2, size=net.vertex_count)
+
+    each(one)
+    uniforms = np.full(traversed.shape, -1.0)
+    uniforms[untraversed] = drawn
+    return uniforms, bits
 
 
-def _couple_block(net: Network, rows: list) -> tuple:
-    """Couple a block of replicas from their ``_draw`` rows: occupation, loop
-    clusters, merged clusters and fields, each with a leading replica axis."""
+def _couple_block(net: Network, occ: np.ndarray, uniforms: np.ndarray, bits: np.ndarray) -> tuple:
+    """Couple a block of replicas from their occupation fields and
+    ``_coupling_draws``: loop clusters, merged clusters and fields, each with
+    a leading replica axis."""
     n, alive = net.vertex_count, net.alive
-    occ, uniforms, bits = np.split(np.array(rows), [n, n + net.edge_count], axis=1)
     a, b = net.edge_ends.T
     probs = cable_open_probability(net.conductances, np.sqrt(occ[:, a] * occ[:, b]))
     base = cluster_edges(uniforms < 0, net)
@@ -81,12 +94,12 @@ def _couple_block(net: Network, rows: list) -> tuple:
     sign = np.take_along_axis(bits, np.take_along_axis(rank, merged.labels, axis=1), axis=1)
     field = np.zeros_like(occ)
     field[:, alive] = (sign[:, alive] * 2 - 1) * np.sqrt(2.0 * occ[:, alive])
-    return occ, base, merged, field
+    return base, merged, field
 
 
 def couple(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> CoupledSample:
     """Run the soup-to-field construction on one soup realization: the
-    one-replica block of ``collect_coupled_fields``.
+    one-replica block of ``coupled_blocks``.
 
     Only soups at intensity 1/2 are accepted; the square-root identity
     between occupation and field holds at that intensity alone.
@@ -99,9 +112,42 @@ def couple(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> Coup
     """
     if soup.alpha != COUPLING_ALPHA:
         raise ValueError(f"coupling requires a soup at intensity 1/2, got alpha={soup.alpha}")
-    occ, base, merged, field = _couple_block(net, [_draw(net, soup, rng)])
+    occ = occupation_field(soup)[None]
+    uniforms, bits = _coupling_draws(net, traversed_edges(soup, net)[None], lambda one: one(0, rng))
+    base, merged, field = _couple_block(net, occ, uniforms, bits)
     clusters = [ClusterPartition(p.labels[0], p.edges[0]) for p in (base, merged)]
     return CoupledSample(soup, occ[0], *clusters, field[0])
+
+
+# the memory of a saved Philox state, about 220 bytes, in doubles
+_STATE_VALUES = 28
+
+
+def coupled_blocks(net: Network, gop: GreenOperator, replicas: int, seed: int):
+    """Couple replicas ``0 .. replicas - 1`` of ``seed`` chunk by chunk; yield
+    each chunk's ``(occupation, base clusters, merged clusters, field)``, each
+    with a leading replica axis.
+
+    Replica r draws what ``couple(net, sampler.sample(rng), rng)`` draws on
+    ``derive_stream(seed, r)``: its soup's draws, and then its coupling
+    draws, resumed from the generator state the soup's left once the chunk's
+    skeletons give the traversed edges.
+    """
+    sampler = LoopSoupSampler(net, gop, COUPLING_ALPHA)
+
+    def one(_i, rng):
+        return sampler.draw(rng), save_state(rng)
+
+    values = sampler.values_per_replica + 2 * net.vertex_count + net.edge_count + _STATE_VALUES
+    for chunk in replicate_chunks(replicas, seed, one, values):
+        soup_draws, states = zip(*chunk)
+        # a chunk's soup draws are not needed once its block is built
+        del chunk
+        soups = sampler.assemble(soup_draws)
+        del soup_draws
+        occ = occupation_field(soups)
+        uniforms, bits = _coupling_draws(net, traversed_edges(soups, net), partial(resume, states))
+        yield (occ, *_couple_block(net, occ, uniforms, bits))
 
 
 def collect_coupled_fields(
@@ -110,19 +156,12 @@ def collect_coupled_fields(
     """Replicate the coupling; return fields on alive vertices and the number
     of replicas whose field sign fails to be constant on some loop cluster.
 
-    Each replica draws its soup and coupling inputs; the coupling itself
-    runs once per chunk of replicas.  The sign check recomputes constancy
-    from the realized field and clusters, so it would catch a miswired
-    construction rather than restating it.
+    The sign check recomputes constancy from the realized field and
+    clusters, so it would catch a miswired construction rather than
+    restating it.
     """
-    sampler = LoopSoupSampler(net, gop, COUPLING_ALPHA)
-
-    def one(_i, rng):
-        return _draw(net, sampler.sample(rng), rng)
-
     fields, violations = [], 0
-    for rows in replicate_chunks(replicas, seed, one, 2 * net.vertex_count + net.edge_count):
-        _occ, base, _merged, field = _couple_block(net, rows)
+    for _occ, base, _merged, field in coupled_blocks(net, gop, replicas, seed):
         # each cluster label is a vertex of its cluster, so the sign is constant on
         # every cluster exactly when each vertex agrees with its label vertex
         sign = np.sign(field)

@@ -47,7 +47,7 @@ from .network import (
     two_vertex_network,
 )
 from .stats import TestRecord, half_square_cdf, ks_record, mc_mean, z_record
-from .streams import derive_stream, replicate, replicate_chunks
+from .streams import derive_stream, replicate_chunks
 
 __all__ = [
     "ExperimentConfig",
@@ -370,11 +370,19 @@ def _lambda_grid(values) -> list[float]:
     return grid
 
 
+def _star_half_width(value) -> int:
+    """The box size of a star graph, an integer of at least 2."""
+    n = _positive(_integer)(value)
+    if n < 2:
+        raise ValueError("must be >= 2 for a star graph")
+    return n
+
+
 def _box_params(d: int, n: int, u: float) -> tuple[Param, ...]:
     """Dimension ``d``, box size ``n`` and intensity ``u`` with these defaults."""
     return (
         Param("d", int, _positive(_integer), d),
-        Param("n", int, _positive(_integer), n),
+        Param("n", int, _star_half_width, n),
         Param("u", float, _positive(float), u),
     )
 
@@ -424,11 +432,11 @@ def _exp_det_ratio(cfg: ExperimentConfig, net: Network, edges: list) -> list[Tes
     edge_ids = sorted(net.edge_id(u, v) for u, v in edges)
     exact = sqrt_det_ratio(net, edge_ids)
     sampler = LoopSoupSampler(net, gop, 0.5)
-
-    def one(_i, rng):
-        return 0.0 if traversed_edges(sampler.sample(rng), net)[edge_ids].any() else 1.0
-
-    hits = np.array(replicate(cfg.replicas, cfg.seed, one))
+    crossed = [
+        traversed_edges(soups, net)[:, edge_ids].any(axis=1)
+        for soups in sampler.blocks(cfg.replicas, cfg.seed)
+    ]
+    hits = np.where(np.concatenate(crossed), 0.0, 1.0)
     return [
         z_record(
             "edge-avoidance",
@@ -451,11 +459,9 @@ def _exp_occupation(cfg: ExperimentConfig, net: Network, alpha: float) -> list[T
     gop = compute_green(net)
     sampler = LoopSoupSampler(net, gop, alpha)
     alive = net.alive
-
-    def one(_i, rng):
-        return occupation_field(sampler.sample(rng))[alive]
-
-    occ = np.array(replicate(cfg.replicas, cfg.seed, one))
+    occ = np.concatenate(
+        [occupation_field(soups)[:, alive] for soups in sampler.blocks(cfg.replicas, cfg.seed)]
+    )
 
     records = [
         z_record(

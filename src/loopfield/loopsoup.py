@@ -12,7 +12,9 @@ is Gamma(alpha, lambda(x)) and is drawn directly as the trivial occupation.
 No matrix power is cached.  The sampler keeps the sparse jump matrix, the
 length law and one root law of n doubles per length, and its build holds one
 dense power at a time, so memory is O(n^2 + cutoff * n) for n alive vertices
-rather than the (cutoff + 1) n^2 of a power cache.  A skeleton draws the same
+rather than the (cutoff + 1) n^2 of a power cache.  The skeleton columns a
+block holds at once are bounded by its own draws and by ``CHUNK_VALUES``
+doubles.  A skeleton draws the same
 uniforms in the same order as a sampler that caches every dense power up to
 the cutoff, and picks the same vertices; the tests keep such a sampler as the
 reference.
@@ -26,16 +28,29 @@ vertex ids of all loops concatenated; ``starts``, the loop offsets in CSR
 style (loop i is ``vertices[starts[i]:starts[i + 1]]``, ``starts[0] == 0``,
 ``starts[-1] == vertices.size``); ``holds``, the holding time of each visit,
 aligned with ``vertices``; ``trivial_occupation``, per vertex; and ``alpha``.
-A draw consumes, in this order: one Poisson loop count; per loop, one uniform
-for its length, ``length`` uniforms (the root, then one per step) and
-``length`` standard exponentials (the holds); then one standard Gamma per
-alive vertex (the trivial occupation).
+A block of R replicas is the same arrays over all their loops, with a
+trivial occupation of shape (R, vertex_count) and ``replica_starts``, the
+loop offsets of the replicas.
+
+Sampling runs in two passes.  The draw pass (``LoopSoupSampler.draw``) runs
+once per replica and makes only the random calls, in this order: one Poisson
+loop count; per loop, one uniform for its length, ``length`` uniforms (the
+root, then one per step) and ``length`` standard exponentials (the holds);
+then one standard Gamma per alive vertex (the trivial occupation).  The block
+pass (``LoopSoupSampler.assemble``) turns the draws of many replicas into one
+block: it picks the roots, walks the skeletons of all loops of one length
+together, and scales the holds and the trivial occupation.  ``sample`` is the
+one-replica block.  The draw order is the one a loop-by-loop sampler
+follows, and every skeleton, hold and occupation is the same bit for bit
+whatever the replicas a block holds.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -44,6 +59,7 @@ from .clusters import ClusterPartition
 from .gff import cluster_edges
 from .green import GreenOperator
 from .network import Network
+from .streams import CHUNK_VALUES, replicate_chunks
 
 __all__ = [
     "LoopSoupSample",
@@ -57,16 +73,26 @@ MAX_LENGTH_CUTOFF = 100_000
 # the discarded tail of the length law has mass below this fraction of the total
 LENGTH_CUTOFF_EPS = 1e-9
 
+# the memory of a small Python object (a list, a tuple, an array header) in doubles
+_OBJECT_VALUES = 14
+# the draws of a replica without loops
+_NO_VISITS = np.empty(0)
+_NO_VISITS.flags.writeable = False
+
 
 @dataclass(frozen=True, eq=False)
 class LoopSoupSample:
-    """One realization of the soup: decorated loops plus trivial occupation.
+    """One realization of the soup, or a block of them: decorated loops plus
+    trivial occupation.
 
     Loop i visits ``vertices[starts[i]:starts[i + 1]]`` in order, each
     consecutive pair (and last to first) adjacent in the network, and holds
     ``holds[starts[i]:starts[i + 1]]`` at those visits.
     ``trivial_occupation`` holds the Gamma-distributed total duration of the
-    one-point loops at each vertex.
+    one-point loops at each vertex.  A block of R replicas has a trivial
+    occupation of shape (R, vertex_count), and replica r owns loops
+    ``replica_starts[r]`` to ``replica_starts[r + 1] - 1``; a single soup has
+    ``replica_starts`` None.
     """
 
     vertices: np.ndarray
@@ -74,6 +100,7 @@ class LoopSoupSample:
     holds: np.ndarray
     trivial_occupation: np.ndarray
     alpha: float
+    replica_starts: np.ndarray | None = None
 
     @property
     def loops(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -94,8 +121,8 @@ class LoopSoupSampler:
     the discarded tail of the length law has mass below
     ``LENGTH_CUTOFF_EPS * m``, using the geometric bound
     ``tr(P^n) <= N rho^n`` with ``rho`` the spectral radius.  Each skeleton is
-    filled in from the root's columns ``P^m e_root``, recomputed per loop by
-    sparse mat-vecs.
+    filled in from the root's columns ``P^m e_root``, computed for all loops of
+    one length in a block by one sparse-times-dense product per power.
     """
 
     def __init__(self, net: Network, gop: GreenOperator, alpha: float):
@@ -122,8 +149,6 @@ class LoopSoupSampler:
         p = sparse.csr_array((vals, (rows, cols)), shape=(n, n))
         p.sort_indices()
         self._p = p
-        # by columns: column x holds the one-step weights of the paths ending at x
-        self._p_csc = p.tocsc()
         self._lambda_alive = lam
 
         if p.nnz == 0:
@@ -172,75 +197,167 @@ class LoopSoupSampler:
         self.truncated_tail = max(self.mass - total, 0.0)
         self._length_cdf = np.cumsum(q) / total
 
-    def _sample_skeleton(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        # one uniform for the root, then one per step
-        u = rng.random(length)
-        root = int(self._root_cdfs[length].searchsorted(u[0], side="right"))
-        p, p_csc = self._p, self._p_csc
-        # cols[m] = P^m e_root: the weights of the m-step paths ending at root
-        first = np.zeros(p.shape[0])
-        lo, hi = p_csc.indptr[root], p_csc.indptr[root + 1]
-        first[p_csc.indices[lo:hi]] = p_csc.data[lo:hi]
-        cols = [None, first]
-        for _ in range(2, length):
+    @cached_property
+    def values_per_replica(self) -> int:
+        """About how much memory one replica's draws and its share of a block
+        take, in doubles: the Gammas, each visit's two draws and five block
+        arrays, and the five small Python objects of a ``draw`` result.  It
+        sizes replica chunks; no draw depends on it."""
+        visits = 0.0
+        if self.mass > 0:
+            pmf = np.diff(self._length_cdf, prepend=0.0)
+            visits = self.alpha * self.mass * float(pmf @ np.arange(2, pmf.size + 2))
+        return self._lambda_alive.size + 5 * _OBJECT_VALUES + math.ceil(7 * visits)
+
+    def draw(self, rng: np.random.Generator) -> tuple:
+        """The draw pass of one replica: ``(lengths, uniforms, exponentials,
+        gammas)``, the loop lengths, the uniforms and standard exponentials of
+        all its loops, one per visit and loop after loop (a loop's first
+        uniform picks its root), and one standard Gamma per alive vertex,
+        drawn in the order of the module docstring.  ``assemble`` builds the
+        soups."""
+        lengths, uniforms, exponentials = [], [], []
+        if self.mass > 0:
+            cdf = self._length_cdf_list
+            for _ in range(int(rng.poisson(self.alpha * self.mass))):
+                # bisect_right on the list is searchsorted(side="right") on the array
+                length = min(bisect_right(cdf, rng.random()), len(cdf) - 1) + 2
+                lengths.append(length)
+                uniforms.append(rng.random(length))
+                exponentials.append(rng.standard_exponential(length))
+        gammas = rng.standard_gamma(self.alpha, size=self._lambda_alive.size)
+        # one array of each per replica, shared when empty, keeps a chunk's draws small
+        if not lengths:
+            return (), _NO_VISITS, _NO_VISITS, gammas
+        return lengths, np.concatenate(uniforms), np.concatenate(exponentials), gammas
+
+    def assemble(self, draws) -> LoopSoupSample:
+        """The block pass: the soups of a sequence of ``draw`` results, one
+        block with replicas in the order given."""
+        net, lam = self.network, self._lambda_alive
+        lengths = np.array([length for d in draws for length in d[0]], dtype=np.int64)
+        replica_starts = np.zeros(len(draws) + 1, dtype=np.int64)
+        np.cumsum([len(d[0]) for d in draws], out=replica_starts[1:])
+        starts = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        gammas = np.array([d[3] for d in draws])
+        positions = np.empty(starts[-1], dtype=np.int64)
+        holds = np.empty(0)
+        if lengths.size:
+            uniforms = np.concatenate([d[1] for d in draws])
+            # a batch's skeleton columns hold no more values than the chunk's
+            # draws, so they at most double the memory the chunk already takes
+            budget = min(CHUNK_VALUES, 2 * uniforms.size + gammas.size)
+            for length in np.unique(lengths).tolist():
+                loops = np.flatnonzero(lengths == length)
+                batch = max(1, budget // (lam.size * length))
+                for first in range(0, loops.size, batch):
+                    visits = starts[loops[first : first + batch], None] + np.arange(length)
+                    positions[visits] = self._skeletons(uniforms[visits])
+            # scale * standard draw is how numpy computes exponential(scale),
+            # bit for bit, without its slow broadcasting path
+            holds = np.concatenate([d[2] for d in draws]) * (1.0 / lam[positions])
+        trivial = np.zeros((len(draws), net.vertex_count))
+        trivial[:, net.alive] = gammas * (1.0 / lam)
+        return LoopSoupSample(
+            net.alive[positions], starts, holds, trivial, self.alpha, replica_starts
+        )
+
+    def _skeletons(self, u: np.ndarray) -> np.ndarray:
+        """Alive positions of k skeletons of one length L from their (k, L)
+        uniforms: the first picks the root, each other one step."""
+        k, length = u.shape
+        roots = self._root_cdfs[length].searchsorted(u[:, 0], side="right")
+        p = self._p
+        loops = np.arange(k)
+        # cols[m] = P^m E_roots: column j holds the weights of the m-step paths
+        # ending at root j; CSR times a dense block sums each column as a
+        # mat-vec does
+        cols = [np.zeros((p.shape[0], k))]
+        cols[0][roots, loops] = 1.0
+        for _ in range(1, length):
             cols.append(p @ cols[-1])
-        indptr, indices, data = p.indptr, p.indices, p.data
-        verts = np.empty(length, dtype=int)
-        verts[0] = root
-        cur = root
+        nbrs, weights = self._neighbour_table
+        verts = np.empty((k, length), dtype=np.int64)
+        verts[:, 0] = cur = roots
         for i in range(1, length):
-            lo, hi = indptr[cur], indptr[cur + 1]
-            nbrs = indices[lo:hi]
-            cs = (data[lo:hi] * cols[length - i][nbrs]).cumsum()
-            cur = int(nbrs[cs.searchsorted(u[i] * cs[-1], side="right")])
-            verts[i] = cur
+            # each row lists the current vertex's neighbours in CSR order,
+            # zero-padded; trailing zeros leave a row's partial sums unchanged
+            row = nbrs[cur]
+            cs = (weights[cur] * cols[length - i][row, loops[:, None]]).cumsum(axis=1)
+            # the count of partial sums <= the threshold is searchsorted(side="right")
+            pick = np.count_nonzero(cs <= (u[:, i] * cs[:, -1])[:, None], axis=1)
+            verts[:, i] = cur = row[loops, pick]
         return verts
 
+    @cached_property
+    def _neighbour_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each alive vertex's neighbours and one-step weights in CSR order,
+        as (n, max degree) arrays padded with vertex 0 at weight 0."""
+        p = self._p
+        degree = np.diff(p.indptr)
+        rows = np.repeat(np.arange(p.shape[0]), degree)
+        slots = np.arange(p.nnz) - p.indptr[rows]
+        nbrs = np.zeros((p.shape[0], degree.max()), dtype=np.int64)
+        weights = np.zeros(nbrs.shape)
+        nbrs[rows, slots] = p.indices
+        weights[rows, slots] = p.data
+        return nbrs, weights
+
+    @cached_property
+    def _length_cdf_list(self) -> list[float]:
+        return self._length_cdf.tolist()
+
+    def blocks(self, replicas: int, seed: int):
+        """The soups of replicas ``0 .. replicas - 1`` of ``seed``, one block
+        per chunk of ``replicate_chunks``; replica r's soup is
+        ``sample(derive_stream(seed, r))``."""
+        chunks = replicate_chunks(
+            replicas, seed, lambda _i, rng: self.draw(rng), self.values_per_replica
+        )
+        # map lets go of a chunk's draws once its block is built
+        return map(self.assemble, chunks)
+
     def sample(self, rng: np.random.Generator) -> LoopSoupSample:
-        net = self.network
-        lam = self._lambda_alive
-        positions, holds, starts = [], [], [0]
-        if self.mass > 0:
-            count = int(rng.poisson(self.alpha * self.mass))
-            longest = self._length_cdf.size - 1
-            for _ in range(count):
-                pick = int(self._length_cdf.searchsorted(rng.random(), side="right"))
-                length = min(pick, longest) + 2
-                verts = self._sample_skeleton(length, rng)
-                positions.append(verts)
-                # scale * standard draw is how numpy computes exponential(scale),
-                # bit for bit, without its slow broadcasting path
-                holds.append(rng.standard_exponential(length) * (1.0 / lam[verts]))
-                starts.append(starts[-1] + length)
-        trivial = np.zeros(net.vertex_count)
-        trivial[net.alive] = rng.standard_gamma(self.alpha, size=lam.size) * (1.0 / lam)
-        if positions:
-            vertices, holds = net.alive[np.concatenate(positions)], np.concatenate(holds)
-        else:
-            vertices, holds = np.empty(0, dtype=np.int64), np.empty(0)
-        starts = np.array(starts, dtype=np.int64)
-        return LoopSoupSample(vertices, starts, holds, trivial, self.alpha)
+        """One soup: the one-replica block of ``draw(rng)``."""
+        block = self.assemble([self.draw(rng)])
+        return LoopSoupSample(
+            block.vertices, block.starts, block.holds, block.trivial_occupation[0], self.alpha
+        )
+
+
+def _row_offsets(sample: LoopSoupSample, width: int):
+    """Offset of each visit's row in a flattened (replicas, width) array: 0
+    for a single soup, ``r * width`` for a visit of replica r of a block."""
+    if sample.replica_starts is None:
+        return 0
+    visits = sample.starts[sample.replica_starts]
+    return np.repeat(np.arange(0, (visits.size - 1) * width, width), np.diff(visits))
 
 
 def occupation_field(sample: LoopSoupSample) -> np.ndarray:
-    """Total time the soup spends at each vertex, trivial loops included."""
+    """Total time the soup spends at each vertex, trivial loops included;
+    shape (R, vertex_count) for a block of R replicas."""
     values = sample.trivial_occupation.copy()
     # add.at sums in visit order, loop after loop
-    np.add.at(values, sample.vertices, sample.holds)
+    flat = _row_offsets(sample, values.shape[-1]) + sample.vertices
+    np.add.at(values.reshape(-1), flat, sample.holds)
     return values
 
 
 def traversed_edges(sample: LoopSoupSample, net: Network) -> np.ndarray:
     """Boolean mask of the edges crossed by some loop, including each loop's
-    closing step from its last vertex back to its first."""
+    closing step from its last vertex back to its first; shape (R,
+    edge_count) for a block of R replicas."""
     verts, starts = sample.vertices, sample.starts
-    crossed = np.zeros(net.edge_count, dtype=bool)
+    crossed = np.zeros(sample.trivial_occupation.shape[:-1] + (net.edge_count,), dtype=bool)
     # most soups on small networks are empty; skip the lookup for those
     if verts.size:
         # position of the next visit in the same loop; a loop's last visit steps to its first
         nxt = np.arange(1, verts.size + 1)
         nxt[starts[1:] - 1] = starts[:-1]
-        crossed[net.edge_ids(verts, verts[nxt])] = True
+        ids = _row_offsets(sample, net.edge_count) + net.edge_ids(verts, verts[nxt])
+        crossed.reshape(-1)[ids] = True
     return crossed
 
 

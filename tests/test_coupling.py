@@ -11,12 +11,11 @@ from loopfield import (
     couple,
     occupation_field,
 )
-from loopfield import coupling
-from loopfield.coupling import collect_coupled_fields, field_law_records
+from loopfield.coupling import collect_coupled_fields, coupled_blocks, field_law_records
 from loopfield.gff import cable_open_probability
 from loopfield.harness import parse_network_spec
 from loopfield.stats import mc_mean, z_score
-from loopfield.streams import derive_stream, replicate_chunks
+from loopfield.streams import derive_stream
 
 
 def test_rejects_wrong_intensity(two_vertex):
@@ -48,26 +47,25 @@ def test_zero_occupation_edge_never_opens(path3):
 
 
 def test_structural_invariants(path3):
+    # 400 replicas in one coupled block; replica r is couple(net,
+    # sampler.sample(rng), rng) on derive_stream(53, r)
     net, gop = path3
-    sampler = LoopSoupSampler(net, gop, 0.5)
-    for r in range(400):
-        rng = derive_stream(53, r)
-        coupled = couple(net, sampler.sample(rng), rng)
-        base, merged = coupled.base_clusters, coupled.merged_clusters
-        # loop-traversed edges stay open: the coupling only adds edges
-        assert not (base.edges & ~merged.edges).any()
-        # field magnitude is sqrt(2 occupation) everywhere
-        assert np.allclose(np.abs(coupled.field), np.sqrt(2.0 * coupled.occupation))
-        # base clusters refine merged clusters: every vertex shares its merged
-        # cluster with the label vertex of its loop cluster
-        assert np.array_equal(merged.labels[base.labels], merged.labels)
-        # sign constant on every loop cluster
-        sign = np.sign(coupled.field)
-        assert np.array_equal(sign[base.labels], sign)
-        # a traversed edge's endpoints already share a merged cluster
-        for eid in np.flatnonzero(base.edges):
-            u, v = net.edge_ends[eid]
-            assert merged.same_cluster(u, v)
+    ((occupation, base, merged, field),) = coupled_blocks(net, gop, 400, 53)
+    assert field.shape == occupation.shape == (400, net.vertex_count)
+    # loop-traversed edges stay open: the coupling only adds edges
+    assert not (base.edges & ~merged.edges).any()
+    # field magnitude is sqrt(2 occupation) everywhere
+    assert np.allclose(np.abs(field), np.sqrt(2.0 * occupation))
+    # base clusters refine merged clusters: every vertex shares its merged
+    # cluster with the label vertex of its loop cluster
+    assert np.array_equal(np.take_along_axis(merged.labels, base.labels, axis=1), merged.labels)
+    # sign constant on every loop cluster
+    sign = np.sign(field)
+    assert np.array_equal(np.take_along_axis(sign, base.labels, axis=1), sign)
+    # a traversed edge's endpoints already share a merged cluster
+    u, v = net.edge_ends.T
+    assert (merged.labels[:, u] == merged.labels[:, v])[base.edges].all()
+    assert base.edges.any()
 
 
 def test_verify_gff_law_two_vertex(two_vertex):
@@ -98,17 +96,10 @@ def test_absent_edge_functional_identity(path3):
     # equals E[exp(-C (|psi_x psi_y| + psi_x psi_y))] over independent fields
     net, gop = path3
     eid = net.edge_id(0, 1)
-    sampler = LoopSoupSampler(net, gop, 0.5)
-
-    # replica r draws what couple(net, sampler.sample(rng), rng) draws on derive_stream(56, r)
-    def one(_i, rng):
-        return coupling._draw(net, sampler.sample(rng), rng)
-
-    hits = []
-    for rows in replicate_chunks(30_000, 56, one, 2 * net.vertex_count + net.edge_count):
-        merged = coupling._couple_block(net, rows)[2]
-        # the merged edges are the traversed ones plus the opened ones
-        hits.append(~merged.edges[:, eid])
+    # replica r draws what couple(net, sampler.sample(rng), rng) draws on derive_stream(56, r);
+    # the merged edges are the traversed ones plus the opened ones
+    blocks = coupled_blocks(net, gop, 30_000, 56)
+    hits = [~merged.edges[:, eid] for _occ, _base, merged, _field in blocks]
     lhs, sem_lhs = mc_mean(np.concatenate(hits).astype(float))
 
     rng = derive_stream(57, 0)

@@ -7,6 +7,11 @@ records were built through ``stats.z_record`` and ``stats.ks_record``, so a
 change that moves a draw, swaps a record's fields or alters a pass rule fails
 here.  Regenerate a file only for a change meant to move draws, by writing
 ``run_experiment(ExperimentConfig.from_dict(doc["config"])).to_json()``.
+
+``tests/golden/<command>.csv`` holds the output of the CLI sampling commands
+``sample-loops`` and ``couple``, which emit per-replica rows rather than a
+report, for the command line in ``CLI_GOLDEN``; they are compared byte for
+byte.
 """
 
 import json
@@ -15,11 +20,16 @@ from pathlib import Path
 
 import pytest
 
+from loopfield.cli import main
 from loopfield.harness import EXPERIMENTS, ExperimentConfig, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOAT_FIELDS = ("exact", "estimate", "stderr", "z", "p")
 REL_TOL = 1e-12
+CLI_GOLDEN = {
+    "sample-loops": ["--alpha", "0.5"],
+    "couple": [],
+}
 
 
 def _same_float(a, b) -> bool:
@@ -49,3 +59,12 @@ def test_report_matches_golden(experiment):
         )
         for name in FLOAT_FIELDS:
             assert _same_float(got[name], want[name]), (want["test"], name, got[name], want[name])
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
+def test_cli_sampling_output_matches_golden(command, tmp_path, capsys):
+    out = tmp_path / f"{command}.csv"
+    argv = [command, "--net", "grid:3x3", "--replicas", "200", "--seed", "1", "--out", str(out)]
+    assert main(argv + CLI_GOLDEN[command]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / f"{command}.csv").read_bytes()

@@ -427,6 +427,15 @@ GRID = PARAMETER + "'lambda_grid': "
             PARAMETER + "'edges'",
         ),
         (["connectivity", "--net", "path:3", "--x", "1", "--y", "1"], None, PARAMETER + "'y'"),
+        # a box of size 1 has no interior, so no star graph
+        (["interlacement", "--n", "1"], None, PARAMETER + "'n'"),
+        (["levelset-check", "--n", "1"], None, PARAMETER + "'n'"),
+        # a prefix of --star-replicas is not another spelling of it
+        (
+            ["interlacement", "--star-replica", "50"],
+            None,
+            "error: unrecognized arguments: --star-replica",
+        ),
     ],
     ids=[
         "vertex-out-of-range",
@@ -497,6 +506,9 @@ GRID = PARAMETER + "'lambda_grid': "
         "det-ratio-no-edge-flag",
         "det-ratio-no-edge",
         "connectivity-x-equals-y",
+        "interlacement-n-1",
+        "levelset-n-1",
+        "interlacement-abbreviated-flag",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config, message):

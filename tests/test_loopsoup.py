@@ -19,7 +19,7 @@ from loopfield import (
 from loopfield.harness import parse_network_spec
 from loopfield.loopsoup import LENGTH_CUTOFF_EPS
 from loopfield.stats import half_square_cdf, mc_mean, z_score
-from loopfield.streams import derive_stream
+from loopfield.streams import derive_stream, replicate
 
 
 def _soup(loops, vertex_count, holds=None):
@@ -29,6 +29,12 @@ def _soup(loops, vertex_count, holds=None):
     starts = np.cumsum([0] + [len(loop) for loop in loops])
     holds = np.ones(vertices.size) if holds is None else np.array(holds, dtype=float)
     return LoopSoupSample(vertices, starts, holds, np.zeros(vertex_count), 0.5)
+
+
+def _draw_pass(sampler):
+    """``replicate``'s function for the draw pass: replica r's soup is
+    ``sampler.sample(derive_stream(seed, r))``."""
+    return lambda _i, rng: sampler.draw(rng)
 
 
 def test_two_vertex_loop_mass(two_vertex):
@@ -42,7 +48,8 @@ def test_two_vertex_loop_mass(two_vertex):
         gop.log_det_g + np.log(net.lambda_total).sum(), abs=1e-10
     )
     rng = derive_stream(31, 0)
-    counts = np.array([sampler.sample(rng).starts.size - 1 for _ in range(40_000)], dtype=float)
+    soups = sampler.assemble([sampler.draw(rng) for _ in range(40_000)])
+    counts = np.diff(soups.replica_starts).astype(float)
     est, sem = mc_mean(counts)
     assert abs(z_score(est, 0.5 * sampler.mass, sem)) < 3.9
 
@@ -59,9 +66,7 @@ def test_single_vertex_soup():
     sampler = LoopSoupSampler(net, gop, 0.5)
     assert sampler.mass == 0.0
     rng = derive_stream(32, 0)
-    occ = np.array(
-        [occupation_field(sampler.sample(rng))[0] for _ in range(40_000)]
-    )
+    occ = occupation_field(sampler.assemble([sampler.draw(rng) for _ in range(40_000)]))[:, 0]
     est, sem = mc_mean(occ)
     assert abs(z_score(est, 0.5 / 2.5, sem)) < 3.9
     # Laplace transform of Gamma(alpha, lambda): (lambda / (lambda + s))^alpha
@@ -135,9 +140,8 @@ def test_occupation_mean_alpha_green(grid3):
     net, gop = grid3
     alpha = 0.7
     sampler = LoopSoupSampler(net, gop, alpha)
-    occ = np.empty((20_000, 9))
-    for r in range(occ.shape[0]):
-        occ[r] = occupation_field(sampler.sample(derive_stream(34, r)))
+    # replica r is sampler.sample(derive_stream(34, r))
+    occ = occupation_field(sampler.assemble(replicate(20_000, 34, _draw_pass(sampler))))
     for x in range(9):
         est, sem = mc_mean(occ[:, x])
         assert abs(z_score(est, alpha * gop.entry(x, x), sem)) < 3.9
@@ -146,9 +150,7 @@ def test_occupation_mean_alpha_green(grid3):
 def test_half_intensity_occupation_is_half_square_field(two_vertex):
     net, gop = two_vertex
     sampler = LoopSoupSampler(net, gop, 0.5)
-    occ = np.empty((30_000, 2))
-    for r in range(occ.shape[0]):
-        occ[r] = occupation_field(sampler.sample(derive_stream(35, r)))
+    occ = occupation_field(sampler.assemble(replicate(30_000, 35, _draw_pass(sampler))))
     for x in range(2):
         var = gop.entry(x, x)
         p = sps.kstest(occ[:, x], lambda t, v=var: half_square_cdf(t, v)).pvalue
@@ -163,9 +165,8 @@ def test_edge_avoidance_matches_det_ratio(two_vertex):
     net, gop = two_vertex
     sampler = LoopSoupSampler(net, gop, 0.5)
     exact = sqrt_det_ratio(net, [(0, 1)])
-    hits = np.empty(30_000)
-    for r in range(hits.size):
-        hits[r] = 0.0 if sampler.sample(derive_stream(36, r)).starts.size > 1 else 1.0
+    soups = sampler.assemble(replicate(30_000, 36, _draw_pass(sampler)))
+    hits = (np.diff(soups.replica_starts) == 0).astype(float)
     est, sem = mc_mean(hits)
     assert abs(z_score(est, exact, sem)) < 3.9
 
@@ -279,3 +280,78 @@ def test_sampler_build_peak_memory():
         tracemalloc.stop()
     assert sampler.length_cutoff > 700
     assert peak < 32 * 2**20
+
+
+def _skeleton_reference(net, cutoff):
+    """``walk(u)``: the alive positions of a skeleton from its uniforms, by
+    cached dense powers and one scalar pick per step."""
+    alive, pos = net.alive, net.alive_pos
+    lam = net.lambda_total[alive]
+    p = np.zeros((alive.size, alive.size))
+    for (a, b), c in zip(net.edge_ends.tolist(), net.conductances.tolist()):
+        if pos[a] >= 0 and pos[b] >= 0:
+            p[pos[a], pos[b]], p[pos[b], pos[a]] = c / lam[pos[a]], c / lam[pos[b]]
+    powers = [np.eye(alive.size)]
+    for _ in range(cutoff):
+        powers.append(powers[-1] @ p)
+
+    def walk(u):
+        length = u.size
+        diag = np.clip(np.diag(powers[length]), 0.0, None)
+        root = int(np.searchsorted(np.cumsum(diag) / diag.sum(), u[0], side="right"))
+        verts = [root]
+        for i in range(1, length):
+            cs = np.cumsum(p[verts[-1]] * powers[length - i][:, root])
+            verts.append(int(np.searchsorted(cs, u[i] * cs[-1], side="right")))
+        return verts
+
+    return walk
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 0.3])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "grid:3x3",
+        "path:3",
+        "box:d=2,n=2,mode=absorbing",
+        {"vertices": 1, "edges": [], "killing": [2.5]},
+    ],
+    ids=["grid3x3", "path3", "box-absorbing", "single-vertex"],
+)
+def test_block_equals_one_replica_blocks(spec, alpha):
+    # one block pass over many replicas' draws against each replica's own
+    # one-replica block, array for array, and its skeletons against the
+    # dense-power reference walk
+    net = parse_network_spec(spec)
+    sampler = LoopSoupSampler(net, compute_green(net), alpha)
+    replicas = 300
+    draws = replicate(replicas, 39, _draw_pass(sampler))
+    block = sampler.assemble(draws)
+    occ, crossed = occupation_field(block), traversed_edges(block, net)
+    assert block.trivial_occupation.shape == occ.shape == (replicas, net.vertex_count)
+    assert crossed.shape == (replicas, net.edge_count)
+    assert block.replica_starts[0] == 0 and block.replica_starts[-1] == block.starts.size - 1
+    loop_counts = np.diff(block.replica_starts)
+    assert (loop_counts == 0).any()
+    if sampler.mass > 0:
+        assert loop_counts.max() > 1
+    for r in range(replicas):
+        one = sampler.sample(derive_stream(39, r))
+        first, last = block.replica_starts[r : r + 2]
+        starts = block.starts[first : last + 1]
+        visits = slice(starts[0], starts[-1])
+        assert np.array_equal(starts - starts[0], one.starts)
+        assert np.array_equal(block.vertices[visits], one.vertices)
+        assert np.array_equal(block.holds[visits], one.holds)
+        assert np.array_equal(block.trivial_occupation[r], one.trivial_occupation)
+        assert np.array_equal(occ[r], occupation_field(one))
+        assert np.array_equal(crossed[r], traversed_edges(one, net))
+    # the first replicas' skeletons from their own uniforms
+    walk = _skeleton_reference(net, sampler.length_cutoff)
+    u = np.concatenate([d[1] for d in draws[:30]])
+    stop = block.starts[block.replica_starts[30]]
+    assert u.size == stop
+    for a, b in zip(block.starts[:-1].tolist(), block.starts[1:].tolist()):
+        if a < stop:
+            assert np.array_equal(block.vertices[a:b], net.alive[walk(u[a:b])])
