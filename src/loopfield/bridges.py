@@ -32,8 +32,6 @@ __all__ = [
     "zero_probability_closed_form",
     "zero_probability_quadrature",
     "sample_first_zero",
-    "first_zero_cdf",
-    "last_zero_density",
     "LastZeroSampler",
     "three_process_zero_mc",
 ]
@@ -90,7 +88,7 @@ def zero_probability_quadrature(p: BridgeProblem, rel_tol: float = 1e-10) -> flo
 #
 # Density (l1 / 2 t^2) exp(l1 / 2T - l1 / 2t) on (0, T).  Substituting
 # u = l1 / (2 t) shows u is a unit exponential shifted by l1 / (2T), which
-# gives both the exact sampler and the closed-form CDF.
+# gives the exact sampler and the CDF exp(l1 / 2T - l1 / 2t).
 
 
 def sample_first_zero(l1: float, T: float, rng: np.random.Generator, size=None):
@@ -101,27 +99,7 @@ def sample_first_zero(l1: float, T: float, rng: np.random.Generator, size=None):
     return l1 / (2.0 * shifted)
 
 
-def first_zero_cdf(t, l1: float, T: float):
-    t = np.asarray(t, dtype=float)
-    out = np.exp(l1 / (2.0 * T) - l1 / (2.0 * np.clip(t, 1e-300, None)))
-    return np.where(t <= 0, 0.0, np.where(t >= T, 1.0, out))
-
-
 # -- last zero of the bridge-plus-excursion sum ----------------------------
-
-
-def last_zero_density(t, l2: float, T: float):
-    """Density of the last zero on (0, T):
-    ``sqrt(l2 T) exp(l2/2T - l2/(2(T-t))) / sqrt(2 pi t (T-t)^3)``."""
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0) & (t < T)
-    ts = np.where(inside, t, 0.5 * T)
-    dens = (
-        math.sqrt(l2 * T)
-        * np.exp(l2 / (2.0 * T) - l2 / (2.0 * (T - ts)))
-        / np.sqrt(2.0 * math.pi * ts * (T - ts) ** 3)
-    )
-    return np.where(inside, dens, 0.0)
 
 
 class LastZeroSampler:

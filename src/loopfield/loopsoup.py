@@ -9,15 +9,15 @@ visit decorated with an exponential holding time at the vertex rate.  Loops
 that never leave a vertex are not enumerated: their total duration at a vertex
 is Gamma(alpha, lambda(x)) and is drawn directly as the trivial occupation.
 
-No matrix power is cached.  The sampler keeps the sparse jump matrix, the
-length law and one root law of n doubles per length, and its build holds one
-dense power at a time, so memory is O(n^2 + cutoff * n) for n alive vertices
-rather than the (cutoff + 1) n^2 of a power cache.  The skeleton columns a
-block holds at once are bounded by its own draws and by ``CHUNK_VALUES``
-doubles.  A skeleton draws the same
-uniforms in the same order as a sampler that caches every dense power up to
-the cutoff, and picks the same vertices; the tests keep such a sampler as the
-reference.
+No matrix power is formed: ``P`` is similar to the symmetric
+``S = Lambda^(-1/2) C Lambda^(-1/2) = U diag(mu) U^T``, and one
+eigendecomposition gives every ``diag(P^k) = (U o U) mu^k``, the spectral
+radius ``max |mu|`` and the mass ``-sum log(1 - mu)``.  The sampler keeps the
+sparse jump matrix, the length law and one root law per length, O(n^2 +
+cutoff * n) doubles for n alive vertices; a block's skeleton columns are
+bounded by its draws and by ``CHUNK_VALUES`` doubles.  A skeleton draws the
+same uniforms in the same order as a sampler that caches every dense power up
+to the cutoff, and picks the same vertices; the tests keep it as the reference.
 
 Sampling rooted loops with the 1/n weight already reproduces the unrooted
 loop mass; rotations are not deduplicated because every statistic computed
@@ -115,14 +115,14 @@ class LoopSoupSample:
 class LoopSoupSampler:
     """Reusable sampler for one (network, alpha) pair.
 
-    The length law and the per-length root laws are computed once from the
-    diagonals of the jump-matrix powers ``P^k``, ``k <= cutoff``, iterated one
-    sparse product at a time; no power is kept.  The cutoff is chosen so that
-    the discarded tail of the length law has mass below
-    ``LENGTH_CUTOFF_EPS * m``, using the geometric bound
-    ``tr(P^n) <= N rho^n`` with ``rho`` the spectral radius.  Each skeleton is
-    filled in from the root's columns ``P^m e_root``, computed for all loops of
-    one length in a block by one sparse-times-dense product per power.
+    The length law and the per-length root laws are computed once, by one
+    eigendecomposition, from the diagonals of the jump-matrix powers ``P^k``,
+    ``k <= cutoff``.  The cutoff is chosen so that the discarded tail of the
+    length law has mass below ``LENGTH_CUTOFF_EPS * m``, using the geometric
+    bound ``tr(P^n) <= N rho^n`` with ``rho`` the spectral radius.  Each
+    skeleton is filled in from the root's columns ``P^m e_root``, computed for
+    all loops of one length in a block by one sparse-times-dense product per
+    power.
     """
 
     def __init__(self, net: Network, gop: GreenOperator, alpha: float):
@@ -152,25 +152,20 @@ class LoopSoupSampler:
         self._lambda_alive = lam
 
         if p.nnz == 0:
-            self.spectral_radius = 0.0
-            self.mass = 0.0
+            self.spectral_radius = self.mass = self.truncated_tail = 0.0
             self.length_cutoff = 1
-            self.truncated_tail = 0.0
             self._length_cdf = np.empty(0)
             self._root_cdfs = {}
             return
 
-        radius = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+        mu, u = np.linalg.eigh(sym)
+        radius = float(np.max(np.abs(mu)))
         if radius >= 1.0:
             raise ValueError(
                 f"jump matrix has spectral radius {radius:.6f} >= 1: network is not transient"
             )
         self.spectral_radius = radius
-
-        sign, logdet = np.linalg.slogdet(np.eye(n) - p.toarray())
-        if sign <= 0:
-            raise ValueError("det(I - P) must be positive on a transient network")
-        self.mass = -float(logdet)
+        self.mass = -float(np.log1p(-mu).sum())
 
         cutoff = 2
         while (
@@ -182,17 +177,22 @@ class LoopSoupSampler:
                 raise ValueError("length cutoff exceeds limit; spectral radius too close to 1")
         self.length_cutoff = cutoff
 
+        # diag(P^k), 64 lengths k per product.  Rows of U o U sum to 1 and mu has
+        # errors of about n eps, so entries up to n k eps r^(k - 1) are rounding
+        # noise: zero, as are a bipartite net's odd lengths, which get no root law
+        lengths = np.arange(2, cutoff + 1)
+        weights = np.square(u, out=u).T
         q = np.empty(cutoff - 1)
         self._root_cdfs = {}
-        power = p.toarray()
-        for k in range(2, cutoff + 1):
-            power = p @ power
-            q[k - 2] = np.trace(power) / k
-            diag = np.clip(np.diag(power), 0.0, None)
-            s = diag.sum()
-            if s > 0:
-                self._root_cdfs[k] = np.cumsum(diag) / s
-        q = np.clip(q, 0.0, None)
+        for a in range(0, cutoff - 1, 64):
+            ks = lengths[a : a + 64]
+            block = mu ** ks[:, None] @ weights
+            block[block <= n * np.finfo(float).eps * (ks * radius ** (ks - 1))[:, None]] = 0.0
+            np.cumsum(block, axis=1, out=block)
+            sums = block[:, -1]
+            q[a : a + 64] = sums / ks
+            kept = np.flatnonzero(sums)
+            self._root_cdfs.update(zip(ks[kept].tolist(), block[kept] / sums[kept, None]))
         total = float(q.sum())
         self.truncated_tail = max(self.mass - total, 0.0)
         self._length_cdf = np.cumsum(q) / total

@@ -9,8 +9,6 @@ from scipy.special import erfinv
 from loopfield.bridges import (
     BridgeProblem,
     LastZeroSampler,
-    first_zero_cdf,
-    last_zero_density,
     sample_first_zero,
     three_process_zero_mc,
     zero_probability_closed_form,
@@ -20,6 +18,27 @@ from loopfield.stats import mc_mean, z_score
 from loopfield.streams import derive_stream
 
 LAMBDA_GRID = [1e-4, 1e-2, 0.25, 1.0, 4.0, 25.0]
+
+
+def first_zero_cdf(t, l1: float, T: float):
+    """CDF of the first zero on (0, T): ``exp(l1/2T - l1/2t)``."""
+    t = np.asarray(t, dtype=float)
+    out = np.exp(l1 / (2.0 * T) - l1 / (2.0 * np.clip(t, 1e-300, None)))
+    return np.where(t <= 0, 0.0, np.where(t >= T, 1.0, out))
+
+
+def last_zero_density(t, l2: float, T: float):
+    """Density of the last zero on (0, T):
+    ``sqrt(l2 T) exp(l2/2T - l2/(2(T-t))) / sqrt(2 pi t (T-t)^3)``."""
+    t = np.asarray(t, dtype=float)
+    inside = (t > 0) & (t < T)
+    ts = np.where(inside, t, 0.5 * T)
+    dens = (
+        math.sqrt(l2 * T)
+        * np.exp(l2 / (2.0 * T) - l2 / (2.0 * (T - ts)))
+        / np.sqrt(2.0 * math.pi * ts * (T - ts) ** 3)
+    )
+    return np.where(inside, dens, 0.0)
 
 
 def problem_for(lam: float, T: float = 0.5) -> BridgeProblem:

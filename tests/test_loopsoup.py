@@ -54,10 +54,12 @@ def test_two_vertex_loop_mass(two_vertex):
     assert abs(z_score(est, 0.5 * sampler.mass, sem)) < 3.9
 
 
-def test_truncation_bound(two_vertex):
-    net, gop = two_vertex
-    sampler = LoopSoupSampler(net, gop, 0.5)
-    assert sampler.truncated_tail < LENGTH_CUTOFF_EPS * sampler.mass
+def test_truncation_bound():
+    # grid:20x20:k=0.1 has a length cutoff above 700
+    for spec in ("two-vertex", "grid:20x20:k=0.1"):
+        net = parse_network_spec(spec)
+        sampler = LoopSoupSampler(net, compute_green(net), 0.5)
+        assert sampler.truncated_tail < LENGTH_CUTOFF_EPS * sampler.mass
 
 
 def test_single_vertex_soup():
@@ -266,6 +268,58 @@ def test_draws_equal_cached_power_reference(spec):
         assert np.array_equal(traversed_edges(soup, net), crossed)
     if spec is TRIANGLE:
         assert any(k % 2 for k in lengths)
+
+
+def _dense_power_laws(net):
+    """The sampler's laws from dense powers of the jump matrix: ``(mass,
+    spectral radius, cutoff, length CDF, {length: root CDF})``, with no root
+    CDF for a length whose powers have a zero diagonal."""
+    alive, pos = net.alive, net.alive_pos
+    lam = net.lambda_total[alive]
+    n = alive.size
+    p = np.zeros((n, n))
+    for (a, b), c in zip(net.edge_ends.tolist(), net.conductances.tolist()):
+        if pos[a] >= 0 and pos[b] >= 0:
+            p[pos[a], pos[b]], p[pos[b], pos[a]] = c / lam[pos[a]], c / lam[pos[b]]
+    mass = -np.linalg.slogdet(np.eye(n) - p)[1]
+    radius = np.abs(np.linalg.eigvals(p)).max()
+    cutoff = 2
+    while n * radius ** (cutoff + 1) / ((cutoff + 1) * (1.0 - radius)) >= LENGTH_CUTOFF_EPS * mass:
+        cutoff += 1
+    q, root_cdfs, power = [], {}, p
+    for k in range(2, cutoff + 1):
+        power = power @ p
+        diag = np.diag(power)
+        q.append(diag.sum() / k)
+        if diag.sum() > 0:
+            root_cdfs[k] = np.cumsum(diag) / diag.sum()
+    return mass, radius, cutoff, np.cumsum(q) / np.sum(q), root_cdfs
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["two-vertex", "path:3", "grid:3x3", "grid:6x6:k=0.1", TRIANGLE, "box:d=2,n=3,mode=absorbing"],
+    ids=["two-vertex", "path3", "grid3x3", "grid6x6-k0.1", "triangle", "box-absorbing"],
+)
+def test_laws_equal_dense_power_reference(spec):
+    net = parse_network_spec(spec)
+    sampler = LoopSoupSampler(net, compute_green(net), 0.5)
+    mass, radius, cutoff, length_cdf, root_cdfs = _dense_power_laws(net)
+    assert sampler.mass == pytest.approx(mass, rel=1e-12)
+    assert sampler.spectral_radius == pytest.approx(radius, rel=1e-12)
+    assert sampler.length_cutoff == cutoff
+    np.testing.assert_allclose(sampler._length_cdf, length_cdf, rtol=1e-12)
+    assert sorted(sampler._root_cdfs) == sorted(root_cdfs)
+    for k, cdf in root_cdfs.items():
+        np.testing.assert_allclose(sampler._root_cdfs[k], cdf, rtol=1e-12)
+    odd = [k for k in sampler._root_cdfs if k % 2]
+    if spec is TRIANGLE:
+        assert odd
+    else:
+        # a bipartite network has no loop of odd length, whatever the rounding
+        # of the eigendecomposition
+        pmf = np.diff(sampler._length_cdf, prepend=0.0)
+        assert not pmf[1::2].any() and not odd
 
 
 def test_sampler_build_peak_memory():
