@@ -117,10 +117,13 @@ def compute_capacity(net: Network, k_vertices) -> CapacityReport:
 # The batch engines require the uniform-slot structure of unit-conductance
 # boxes with no interior killing: every alive vertex then has total rate 2d
 # and its 2d slots are its lattice edges, some of which lead into the
-# absorbing boundary.
+# absorbing boundary.  The walker reads the slot tables flat: slot s of alive
+# position p is entry ``p * 2d + s``.
 
 
 def _slot_tables(net: Network) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(target, edge, 2d)``: the (alive, 2d) tables of each slot's alive
+    target position (-1 in the absorbing boundary) and edge id."""
     # each alive vertex's slots are its edges in edge-id order: a stable sort
     # of the edge ends groups them by vertex and keeps that order
     alive = net.alive
@@ -148,32 +151,49 @@ def _run_batch(
     replicas: int,
     rng: np.random.Generator,
     cols: np.ndarray,
-    edge_hit: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    track_edges: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Advance the walkers at alive positions ``pos`` of replicas ``rep`` to
     absorption.  Returns each replica's occupation and visit flags over the
-    columns that ``cols`` maps alive positions to (-1 untracked); the
-    traversed edges are flagged in ``edge_hit`` when it is given."""
+    columns that ``cols`` maps alive positions to (-1 untracked), and its
+    traversed-edge flags if ``track_edges``, else None.
+
+    Each step draws the holds, then the slots, of the walkers still alive, in
+    walker order.  Outputs are flat (replicas * width) arrays indexed by
+    ``rep * width + col``: a 1-D ``np.add.at`` adds in the same order as a
+    (rep, col) one, so the sums are the same bit for bit."""
     target, edge, two_d = _slot_tables(net)
-    occ = np.zeros((replicas, int(cols.max()) + 1))
-    visited = np.zeros(occ.shape, dtype=bool)
+    target, edge = target.ravel(), edge.ravel()
+    width = int(cols.max()) + 1
+    occ = np.zeros(replicas * width)
+    visited = np.zeros(occ.size, dtype=bool)
+    edges = net.edge_count
+    edge_hit = np.zeros(replicas * edges, dtype=bool) if track_edges else None
+    tracks_all = bool(np.all(cols >= 0))
     mean_hold = 1.0 / two_d
     while pos.size:
         holds = rng.exponential(mean_hold, pos.size)
         col = cols[pos]
-        sel = col >= 0
-        if sel.any():
-            at = (rep[sel], col[sel])
-            np.add.at(occ, at, holds[sel])
+        if tracks_all:
+            at = rep * width + col
+            np.add.at(occ, at, holds)
             visited[at] = True
-        slots = rng.integers(0, two_d, pos.size)
-        if edge_hit is not None:
-            edge_hit[rep, edge[pos, slots]] = True
-        nxt = target[pos, slots]
+        else:
+            sel = col >= 0
+            if sel.any():
+                at = rep[sel] * width + col[sel]
+                np.add.at(occ, at, holds[sel])
+                visited[at] = True
+        slot = pos * two_d + rng.integers(0, two_d, pos.size)
+        if track_edges:
+            edge_hit[rep * edges + edge[slot]] = True
+        nxt = target[slot]
         keep = nxt >= 0
         pos = nxt[keep]
         rep = rep[keep]
-    return occ, visited
+    if track_edges:
+        edge_hit = edge_hit.reshape(replicas, edges)
+    return occ.reshape(replicas, width), visited.reshape(replicas, width), edge_hit
 
 
 def trace_occupation_batch(
@@ -199,7 +219,8 @@ def trace_occupation_batch(
 
     cols = np.full(net.alive.size, -1, dtype=np.int64)
     cols[k_alive] = np.arange(k_alive.size)
-    return _run_batch(net, start_pos, rep_ids, replicas, rng, cols)
+    occ, visited, _ = _run_batch(net, start_pos, rep_ids, replicas, rng, cols)
+    return occ, visited
 
 
 def star_excursion_batch(
@@ -221,11 +242,12 @@ def star_excursion_batch(
     picks = rng.integers(0, star.star_rate, rep_ids.size)
     start_pos = net.alive_pos[star.entry_vertices[picks]]
 
-    edge_hit = np.zeros((replicas, net.edge_count), dtype=bool) if track_edges else None
+    cols = np.arange(net.alive.size)
+    occ, vertex_hit, edge_hit = _run_batch(
+        net, start_pos, rep_ids, replicas, rng, cols, track_edges
+    )
     if track_edges:
         edge_hit[rep_ids, star.entry_edges[picks]] = True
-    cols = np.arange(net.alive.size)
-    occ, vertex_hit = _run_batch(net, start_pos, rep_ids, replicas, rng, cols, edge_hit)
     return occ, edge_hit, vertex_hit
 
 

@@ -196,6 +196,9 @@ class LoopSoupSampler:
         total = float(q.sum())
         self.truncated_tail = max(self.mass - total, 0.0)
         self._length_cdf = np.cumsum(q) / total
+        # a uniform at or above cdf[-1] takes the last length of positive mass:
+        # a bipartite network's odd cutoff has no root law
+        self._last_length_index = int(np.flatnonzero(q)[-1])
 
     @cached_property
     def values_per_replica(self) -> int:
@@ -221,7 +224,7 @@ class LoopSoupSampler:
             cdf = self._length_cdf_list
             for _ in range(int(rng.poisson(self.alpha * self.mass))):
                 # bisect_right on the list is searchsorted(side="right") on the array
-                length = min(bisect_right(cdf, rng.random()), len(cdf) - 1) + 2
+                length = min(bisect_right(cdf, rng.random()), self._last_length_index) + 2
                 lengths.append(length)
                 uniforms.append(rng.random(length))
                 exponentials.append(rng.standard_exponential(length))

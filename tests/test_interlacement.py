@@ -156,7 +156,7 @@ def test_trace_columns_are_the_k_columns_of_a_full_width_run(box3):
     k_alive = net.alive_pos[list(cap.vertices)]
     e_cdf = np.cumsum(cap.equilibrium) / cap.capacity
     pos = k_alive[np.searchsorted(e_cdf, rng.random(rep.size), side="right")]
-    full_occ, full_visited = _run_batch(net, pos, rep, replicas, rng, np.arange(net.alive.size))
+    full_occ, full_visited, _ = _run_batch(net, pos, rep, replicas, rng, np.arange(net.alive.size))
     assert np.array_equal(occ, full_occ[:, k_alive])
     assert np.array_equal(visited, full_visited[:, k_alive])
     # each column is its own vertex's: the tallies differ between columns
@@ -251,6 +251,78 @@ def test_slot_tables_in_edge_id_order():
     # a neighbour in the absorbing boundary has no alive position
     corner = net.alive_pos[6]
     assert target[corner].tolist() == [-1, -1, net.alive_pos[11], net.alive_pos[7]]
+
+
+def _walk_reference(net, pos, rep, replicas, rng, cols, track_edges):
+    """The batch walker's step loop on 2-D (rep, col) and (pos, slot) indices,
+    with the same draws in the same order."""
+    target, edge, two_d = _slot_tables(net)
+    occ = np.zeros((replicas, int(cols.max()) + 1))
+    visited = np.zeros(occ.shape, dtype=bool)
+    edge_hit = np.zeros((replicas, net.edge_count), dtype=bool) if track_edges else None
+    mean_hold = 1.0 / two_d
+    while pos.size:
+        holds = rng.exponential(mean_hold, pos.size)
+        col = cols[pos]
+        sel = col >= 0
+        if sel.any():
+            at = (rep[sel], col[sel])
+            np.add.at(occ, at, holds[sel])
+            visited[at] = True
+        slots = rng.integers(0, two_d, pos.size)
+        if edge_hit is not None:
+            edge_hit[rep, edge[pos, slots]] = True
+        nxt = target[pos, slots]
+        keep = nxt >= 0
+        pos = nxt[keep]
+        rep = rep[keep]
+    return occ, visited, edge_hit
+
+
+def _walker_case(case):
+    """``(net, pos, rep, replicas, cols, track_edges)`` of one walker run."""
+    rng = derive_stream(76, 0)
+    if case == "trace-partial":
+        # trace style: only the 27 vertices of the unit cube at the centre
+        # are tracked, and the walkers start on them
+        net = build_box_network(3, 5, 1.0, 0.0, "absorbing")
+        k_ids = [
+            x for x in range(net.vertex_count) if max(map(abs, box_vertex_coords(3, 5, x))) <= 1
+        ]
+        replicas, mean_walkers, track_edges = 300, 4.0, False
+        starts = net.alive_pos[k_ids]
+        cols = np.full(net.alive.size, -1, dtype=np.int64)
+        cols[starts] = np.arange(starts.size)
+    else:
+        # star style: every alive vertex tracked, walkers enter from the
+        # boundary; the long tail leaves a handful of walkers for most steps
+        d, n, replicas, mean_walkers = (2, 4, 200, 6.0) if case == "star-edges" else (2, 12, 3, 4.0)
+        star = build_star_graph(d, n)
+        net, track_edges = star.network, True
+        starts = net.alive_pos[star.entry_vertices]
+        cols = np.arange(net.alive.size)
+    rep = np.repeat(np.arange(replicas), rng.poisson(mean_walkers, replicas))
+    pos = starts[rng.integers(0, starts.size, rep.size)]
+    return net, pos, rep, replicas, cols, track_edges
+
+
+@pytest.mark.parametrize("case", ["trace-partial", "star-edges", "long-tail"])
+def test_flat_walker_equals_2d_reference(case):
+    # the flat-index walker adds each step's holds in the same order as a
+    # 2-D np.add.at, so every sum is the same bit for bit, duplicates included
+    net, pos, rep, replicas, cols, track_edges = _walker_case(case)
+    rng, ref_rng = derive_stream(77, 0), derive_stream(77, 0)
+    got = _run_batch(net, pos, rep, replicas, rng, cols, track_edges)
+    ref = _walk_reference(net, pos, rep, replicas, ref_rng, cols, track_edges)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+    if track_edges:
+        assert np.array_equal(got[2], ref[2])
+    else:
+        assert got[2] is None and ref[2] is None
+    # both consumed the same draws
+    assert rng.random() == ref_rng.random()
+    assert ref[1].any() and ref[0].sum() > 0
 
 
 def test_isomorphism_check_passes():

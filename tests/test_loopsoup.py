@@ -322,6 +322,38 @@ def test_laws_equal_dense_power_reference(spec):
         assert not pmf[1::2].any() and not odd
 
 
+class _TopUniforms:
+    """A generator drawing one loop per soup whose length uniform is the
+    largest double below 1; its other draws come from ``rng``."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def poisson(self, lam):
+        return 1
+
+    def random(self, size=None):
+        return 1.0 - 2.0**-53 if size is None else self._rng.random(size)
+
+    def standard_exponential(self, size):
+        return self._rng.standard_exponential(size)
+
+    def standard_gamma(self, shape, size):
+        return self._rng.standard_gamma(shape, size=size)
+
+
+def test_top_length_uniform_draws_a_length_with_a_root_law():
+    # the cutoff of this bipartite grid is odd, so it has no root law; a
+    # length uniform at or above cdf[-1] must take the last even length
+    net = parse_network_spec("grid:20x20:k=0.02")
+    sampler = LoopSoupSampler(net, compute_green(net), 0.5)
+    assert sampler.length_cutoff == 3661 and 3661 not in sampler._root_cdfs
+    assert 1.0 - 2.0**-53 >= sampler._length_cdf[-1]
+    draws = sampler.draw(_TopUniforms(derive_stream(39, 0)))
+    soup = sampler.assemble([draws])
+    assert draws[0] == [3660] and soup.starts.tolist() == [0, 3660]
+
+
 def test_sampler_build_peak_memory():
     # caching the (cutoff + 1) dense n x n powers would take about 960 MB here
     net = parse_network_spec("grid:20x20:k=0.1")
