@@ -174,16 +174,12 @@ def _run_batch(
     while pos.size:
         holds = rng.exponential(mean_hold, pos.size)
         col = cols[pos]
-        if tracks_all:
-            at = rep * width + col
-            np.add.at(occ, at, holds)
-            visited[at] = True
-        else:
+        at = rep * width + col
+        if not tracks_all:
             sel = col >= 0
-            if sel.any():
-                at = rep[sel] * width + col[sel]
-                np.add.at(occ, at, holds[sel])
-                visited[at] = True
+            at, holds = at[sel], holds[sel]
+        np.add.at(occ, at, holds)
+        visited[at] = True
         slot = pos * two_d + rng.integers(0, two_d, pos.size)
         if track_edges:
             edge_hit[rep * edges + edge[slot]] = True

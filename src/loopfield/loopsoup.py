@@ -221,10 +221,10 @@ class LoopSoupSampler:
         soups."""
         lengths, uniforms, exponentials = [], [], []
         if self.mass > 0:
-            cdf = self._length_cdf_list
+            cdf, last = self._length_cdf_list, self._last_length_index
             for _ in range(int(rng.poisson(self.alpha * self.mass))):
                 # bisect_right on the list is searchsorted(side="right") on the array
-                length = min(bisect_right(cdf, rng.random()), self._last_length_index) + 2
+                length = min(bisect_right(cdf, rng.random()), last) + 2
                 lengths.append(length)
                 uniforms.append(rng.random(length))
                 exponentials.append(rng.standard_exponential(length))

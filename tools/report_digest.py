@@ -4,10 +4,6 @@ Run from any directory:
 
     python3 tools/report_digest.py --workload small-net --seeds 1:10
     python3 tools/report_digest.py --workload all --seeds 1:10 > digests.txt
-    python3 tools/report_digest.py --workload all --tiny
-
-``--tiny`` hashes the shrunk configs instead, a gate of a few seconds to run
-before the full one.
 
 For each workload seed from A to B inclusive and each experiment config that
 ``bench/workloads.make_configs`` builds for it, one line
@@ -51,11 +47,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=[*workloads.WORKLOADS, "all"])
     parser.add_argument("--seeds", type=_seed_range, default="1", help="A:B, inclusive")
-    parser.add_argument("--tiny", action="store_true", help="hash the shrunk configs")
     args = parser.parse_args(argv)
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     for name in names:
-        for seed, experiment, digest in digests(name, args.seeds, args.tiny):
+        for seed, experiment, digest in digests(name, args.seeds):
             print(name, seed, experiment, digest, flush=True)
     return 0
 
