@@ -16,17 +16,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .clusters import ClusterPartition
 from .gff import cable_open_probability, cluster_edges
 from .green import GreenOperator, normalized_green
-from .loopsoup import LoopSoupSample, LoopSoupSampler, occupation_field, traversed_edges
+from .loopsoup import (
+    _OBJECT_VALUES,
+    LoopSoupSample,
+    LoopSoupSampler,
+    occupation_field,
+    traversed_edges,
+)
 from .network import Network
 from .stats import TestRecord, ks_record, mc_mean, normal_cdf, z_record
-from .streams import replicate_chunks, resume, save_state
+from .streams import replicate_chunks
 
 __all__ = [
     "CoupledSample",
@@ -57,26 +62,39 @@ class CoupledSample:
     field: np.ndarray
 
 
-def _coupling_draws(net: Network, traversed: np.ndarray, each) -> tuple:
-    """The coupling draws of a block of replicas, after their soups': one
-    uniform per untraversed edge in edge-id order, then ``vertex_count``
-    sign bits.  ``each(fn)`` calls ``fn(i, rng)`` with replica i's generator
-    for every replica in order.  The traversed edges read uniform -1, below
-    every opening probability, so they are open."""
+def _word_count(net: Network, count) -> int:
+    """Raw words a coupling reads for ``count`` untraversed edges."""
+    return count + (net.vertex_count + 1) // 2
+
+
+def _coupling_draws(net: Network, traversed: np.ndarray, words: np.ndarray) -> tuple:
+    """The coupling draws of a block of replicas from the raw 64-bit Philox
+    words their generators give after their soups' draws, one row of
+    ``words`` per replica: one uniform per untraversed edge in edge-id order,
+    then ``vertex_count`` sign bits.
+
+    The words are those ``Generator.random(count)`` and then
+    ``Generator.integers(0, 2, vertex_count)`` read, bit for bit.  A row's
+    k-th untraversed edge takes word k as ``random`` does, ``(w >> 11) *
+    2**-53``.  The sign bits start at word ``count``, the row's untraversed
+    edge count; each is the top bit of one 32-bit half, the low half first,
+    as ``integers`` draws them (Lemire's method never rejects at range 2).
+    So a row reads ``count + ceil(vertex_count / 2)`` words and may hold
+    more.  Raw words bypass the 32-bit half a generator buffers after an odd
+    number of 32-bit draws, so they equal those calls only when the
+    generator held no such half; no draw in this package leaves one.  The
+    traversed edges read uniform -1, below every opening probability, so
+    they are open."""
     untraversed = ~traversed
+    # a row's k-th untraversed edge takes its word k
+    ranks = np.maximum(np.cumsum(untraversed, axis=1) - 1, 0)
+    picked = np.take_along_axis(words, ranks, axis=1)
+    uniforms = np.where(untraversed, (picked >> 11) * 2.0**-53, -1.0)
     counts = np.count_nonzero(untraversed, axis=1)
-    ends = np.cumsum(counts).tolist()
-    counts = counts.tolist()
-    drawn = np.empty(ends[-1])
-    bits = np.empty((len(counts), net.vertex_count), dtype=np.int64)
-
-    def one(i, rng):
-        drawn[ends[i] - counts[i] : ends[i]] = rng.random(counts[i])
-        bits[i] = rng.integers(0, 2, size=net.vertex_count)
-
-    each(one)
-    uniforms = np.full(traversed.shape, -1.0)
-    uniforms[untraversed] = drawn
+    sign_words = np.take_along_axis(words, counts[:, None] + np.arange(_word_count(net, 0)), axis=1)
+    # shifts rather than a uint32 view, which would put the high half first on big-endian machines
+    halves = np.stack([(sign_words >> 31) & 1, sign_words >> 63], axis=2)
+    bits = halves.reshape(len(words), -1)[:, : net.vertex_count].astype(np.int64)
     return uniforms, bits
 
 
@@ -109,18 +127,26 @@ def couple(net: Network, soup: LoopSoupSample, rng: np.random.Generator) -> Coup
     clusters take the first ones in increasing label order.  A fixed stream
     reproduces the field exactly, and the signs are those of a draw of one
     bit per merged cluster.
+
+    The draws are ``count + ceil(vertex_count / 2)`` raw words of
+    ``rng.bit_generator`` (``_coupling_draws``), ``count`` the untraversed
+    edge count, and equal ``rng.random(count)`` followed by
+    ``rng.integers(0, 2, vertex_count)``.  Raw words bypass the 32-bit half
+    a generator buffers after an odd number of 32-bit draws: if ``rng``
+    holds one, it stays buffered and the sign bits differ from those
+    ``integers`` would draw.  For odd ``vertex_count``, ``integers`` would
+    leave the last word's high half buffered; the raw read does not.  No
+    draw in this package leaves a half buffered before a coupling.
     """
     if soup.alpha != COUPLING_ALPHA:
         raise ValueError(f"coupling requires a soup at intensity 1/2, got alpha={soup.alpha}")
     occ = occupation_field(soup)[None]
-    uniforms, bits = _coupling_draws(net, traversed_edges(soup, net)[None], lambda one: one(0, rng))
+    traversed = traversed_edges(soup, net)[None]
+    words = rng.bit_generator.random_raw(_word_count(net, np.count_nonzero(~traversed)))
+    uniforms, bits = _coupling_draws(net, traversed, words[None])
     base, merged, field = _couple_block(net, occ, uniforms, bits)
     clusters = [ClusterPartition(p.labels[0], p.edges[0]) for p in (base, merged)]
     return CoupledSample(soup, occ[0], *clusters, field[0])
-
-
-# the memory of a saved Philox state, about 220 bytes, in doubles
-_STATE_VALUES = 28
 
 
 def coupled_blocks(net: Network, gop: GreenOperator, replicas: int, seed: int):
@@ -130,23 +156,30 @@ def coupled_blocks(net: Network, gop: GreenOperator, replicas: int, seed: int):
 
     Replica r draws what ``couple(net, sampler.sample(rng), rng)`` draws on
     ``derive_stream(seed, r)``: its soup's draws, and then its coupling
-    draws, resumed from the generator state the soup's left once the chunk's
-    skeletons give the traversed edges.
+    draws.  The untraversed edges are known only once the chunk's skeletons
+    are built, so each replica's draw pass reads the ``edge_count +
+    ceil(vertex_count / 2)`` raw words its coupling can use at most, all
+    edges untraversed, and ``_coupling_draws`` takes from them the words
+    ``couple`` reads.  The soup's draws are 64-bit ones and leave no 32-bit
+    half buffered, so the raw words are the coupling's draws bit for bit.
     """
     sampler = LoopSoupSampler(net, gop, COUPLING_ALPHA)
+    width = _word_count(net, net.edge_count)
 
     def one(_i, rng):
-        return sampler.draw(rng), save_state(rng)
+        return sampler.draw(rng), rng.bit_generator.random_raw(width)
 
-    values = sampler.values_per_replica + 2 * net.vertex_count + net.edge_count + _STATE_VALUES
+    # a replica's words are held twice, as its own array and as a row of the block's
+    words_values = 2 * width + _OBJECT_VALUES
+    values = sampler.values_per_replica + 2 * net.vertex_count + net.edge_count + words_values
     for chunk in replicate_chunks(replicas, seed, one, values):
-        soup_draws, states = zip(*chunk)
+        soup_draws, words = zip(*chunk)
         # a chunk's soup draws are not needed once its block is built
         del chunk
         soups = sampler.assemble(soup_draws)
         del soup_draws
         occ = occupation_field(soups)
-        uniforms, bits = _coupling_draws(net, traversed_edges(soups, net), partial(resume, states))
+        uniforms, bits = _coupling_draws(net, traversed_edges(soups, net), np.stack(words))
         yield (occ, *_couple_block(net, occ, uniforms, bits))
 
 

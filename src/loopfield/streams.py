@@ -13,9 +13,10 @@ replica.  ``replicate`` computes every replica's key in one vectorised pass
 of the same mixing (entropy words ``[s_lo, s_hi, 0, 0]`` plus the spawn word
 ``i``) and re-keys one Philox generator before each replica, so a replica
 costs its own draws rather than a generator construction.  Its draws are
-those of ``derive_stream(seed, i)``, bit for bit.  ``resume`` continues
-streams from the states ``save_state`` saved, for a replica whose later
-draws wait on work done for a whole chunk of replicas.
+those of ``derive_stream(seed, i)``, bit for bit.  A replica whose later
+draws depend on work done for a whole chunk still makes them in its own
+call, as raw words: the coupling reads ``bit_generator.random_raw`` words
+and maps them to its uniforms and sign bits once the chunk is built.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ __all__ = [
     "derive_stream",
     "replicate",
     "replicate_chunks",
-    "save_state",
-    "resume",
     "CHUNK_VALUES",
 ]
 
@@ -133,44 +132,3 @@ def replicate_chunks(replicas: int, seed: int, fn, values_per_replica: int):
     for start in range(0, replicas, chunk):
         yield replicate(min(chunk, replicas - start), seed, fn, start=start)
 
-
-def save_state(rng: np.random.Generator) -> np.ndarray:
-    """The state of the Philox generator behind ``rng`` as ``resume`` takes
-    it: the 13 words of ``rng.bit_generator.state`` (counter, key, buffer,
-    buffer position, ``has_uint32``, ``uinteger``) in one uint64 array, a
-    quarter of the dictionary's memory."""
-    state = rng.bit_generator.state
-    inner = state["state"]
-    return np.array(
-        [
-            *inner["counter"].tolist(),
-            *inner["key"].tolist(),
-            *state["buffer"].tolist(),
-            state["buffer_pos"],
-            state["has_uint32"],
-            state["uinteger"],
-        ],
-        dtype=np.uint64,
-    )
-
-
-def resume(states, fn) -> list:
-    """Run ``fn(index, rng)`` for each ``save_state`` result in order, ``rng``
-    continuing from that state, and return the results in order: its draws
-    are those the saved generator would have made next.  As with
-    ``replicate``, ``fn`` must not keep ``rng`` after it returns."""
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    results = []
-    for i, words in enumerate(states):
-        buffer_pos, has_uint32, uinteger = words[10:].tolist()
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": words[:4], "key": words[4:6]},
-            "buffer": words[6:10],
-            "buffer_pos": buffer_pos,
-            "has_uint32": has_uint32,
-            "uinteger": uinteger,
-        }
-        results.append(fn(i, rng))
-    return results

@@ -11,11 +11,17 @@ from loopfield import (
     couple,
     occupation_field,
 )
-from loopfield.coupling import collect_coupled_fields, coupled_blocks, field_law_records
+from loopfield.coupling import (
+    _coupling_draws,
+    _word_count,
+    collect_coupled_fields,
+    coupled_blocks,
+    field_law_records,
+)
 from loopfield.gff import cable_open_probability
 from loopfield.harness import parse_network_spec
 from loopfield.stats import mc_mean, z_score
-from loopfield.streams import derive_stream
+from loopfield.streams import derive_stream, replicate
 
 
 def test_rejects_wrong_intensity(two_vertex):
@@ -202,3 +208,73 @@ def test_collected_fields_equal_couple_replica_by_replica(spec):
         sign = np.sign(coupled.field)
         broken += bool((sign != sign[coupled.base_clusters.labels]).any())
     assert violations == broken == 0
+
+
+def _twin_generators(state, count):
+    """``count`` generators, each continuing from the Philox ``state``."""
+    twins = []
+    for _ in range(count):
+        bitgen = np.random.Philox(key=0)
+        bitgen.state = state
+        twins.append(np.random.Generator(bitgen))
+    return twins
+
+
+@pytest.mark.parametrize("spec", ["path:3", "path:4"])
+def test_coupling_draws_equal_numpy_calls(spec):
+    # the mapping of raw words against rng.random(count) then rng.integers(0, 2, V)
+    # on a twin generator, for V odd (path:3) and even (path:4)
+    net = parse_network_spec(spec)
+    sampler = LoopSoupSampler(net, compute_green(net), 0.5)
+
+    def after_draw(_i, rng):
+        sampler.draw(rng)
+        return rng.bit_generator.state
+
+    # the soup's draws are 64-bit ones: no 32-bit half is left buffered
+    after_soup = replicate(20, 63, after_draw)
+    assert all(state["has_uint32"] == 0 for state in after_soup)
+    mid_buffer = derive_stream(63, 1)
+    mid_buffer.random(3)
+    assert mid_buffer.bit_generator.state["buffer_pos"] != 4
+    states = [derive_stream(63, 0).bit_generator.state, mid_buffer.bit_generator.state, *after_soup]
+
+    e = net.edge_count
+    # count = 0, 1 and E untraversed edges
+    masks = [np.ones(e, dtype=bool), np.arange(e) < e - 1, np.zeros(e, dtype=bool)]
+    for state in states:
+        for traversed in masks:
+            count = int(np.count_nonzero(~traversed))
+            calls, exact, wide = _twin_generators(state, 3)
+            expected = np.full(e, -1.0)
+            expected[~traversed] = calls.random(count)
+            expected_bits = calls.integers(0, 2, size=net.vertex_count)
+            # couple reads the words it maps, coupled_blocks the most a replica can use
+            for rng, width in ((exact, _word_count(net, count)), (wide, _word_count(net, e))):
+                words = rng.bit_generator.random_raw(width)
+                uniforms, bits = _coupling_draws(net, traversed[None], words[None])
+                assert np.array_equal(uniforms[0], expected)
+                assert np.array_equal(bits[0], expected_bits)
+            # couple has read the same 64-bit words as the calls
+            assert exact.random() == calls.random()
+
+
+@pytest.mark.parametrize("spec", ["grid:3x3", "path:3", "box:d=2,n=2,mode=absorbing", "one-vertex"])
+def test_coupled_blocks_equal_reference_on_replica_streams(spec):
+    # the reference draws its coupling on each replica's own stream right after
+    # sampler.sample(rng), the draw order of a replica of coupled_blocks
+    if spec == "one-vertex":
+        net = Network(1, (), np.array([4.0]))
+    else:
+        net = parse_network_spec(spec)
+    gop = compute_green(net)
+    sampler = LoopSoupSampler(net, gop, 0.5)
+    blocks = list(coupled_blocks(net, gop, 200, 64))
+    fields = np.concatenate([field for *_, field in blocks])
+    opened = np.concatenate([merged.edges for _occ, _base, merged, _field in blocks])
+    assert fields.shape == (200, net.vertex_count)
+    for r in range(200):
+        rng = derive_stream(64, r)
+        values, is_open = _reference_couple(net, sampler.sample(rng), rng)
+        assert np.array_equal(fields[r], values)
+        assert np.array_equal(opened[r], is_open)

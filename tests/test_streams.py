@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopfield.streams import _replica_keys, derive_stream, replicate, resume, save_state
+from loopfield.streams import _replica_keys, derive_stream, replicate
 
 MASK = (1 << 64) - 1
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1]
@@ -68,23 +68,3 @@ def test_replicate_rejects_more_than_one_spawn_word():
     with pytest.raises(ValueError, match=">= 0"):
         replicate(2, 1, _draws, start=-1)
     assert replicate(0, 1, _draws) == []
-
-
-@pytest.mark.parametrize("seed", [0, 2**63 + 17])
-def test_resume_continues_saved_states(seed):
-    # a replica's draws after a saved state, resumed on another generator,
-    # equal the draws it would have made next; the states are saved after
-    # 64-bit draws and after a 32-bit draw that leaves half a word buffered
-    def first(i, rng):
-        rng.standard_exponential(3)
-        if i % 2:
-            rng.integers(0, 2**31, 3, dtype=np.int32)
-        return save_state(rng), _draws(i, rng)
-
-    saved, continued = zip(*replicate(12, seed, first))
-    resumed = resume(saved, _draws)
-    assert len(resumed) == 12
-    for a, b in zip(continued, resumed):
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-    assert resume([], _draws) == []
