@@ -14,10 +14,11 @@ No matrix power is formed: ``P`` is similar to the symmetric
 eigendecomposition gives every ``diag(P^k) = (U o U) mu^k``, the spectral
 radius ``max |mu|`` and the mass ``-sum log(1 - mu)``.  The sampler keeps the
 sparse jump matrix, the length law and one root law per length, O(n^2 +
-cutoff * n) doubles for n alive vertices; a block's skeleton columns are
-bounded by its draws and by ``CHUNK_VALUES`` doubles.  A skeleton draws the
-same uniforms in the same order as a sampler that caches every dense power up
-to the cutoff, and picks the same vertices; the tests keep it as the reference.
+cutoff * n) doubles for n alive vertices; the skeleton columns a block walks
+at once, n doubles per visit, hold at most 2^18 doubles (2 MB) unless one
+loop needs more.  A skeleton draws the same uniforms in the same order as a
+sampler that caches every dense power up to the cutoff, and picks the same
+vertices; the tests keep it as the reference.
 
 Sampling rooted loops with the 1/n weight already reproduces the unrooted
 loop mass; rotations are not deduplicated because every statistic computed
@@ -38,11 +39,11 @@ loop count; per loop, one uniform for its length, ``length`` uniforms (the
 root, then one per step) and ``length`` standard exponentials (the holds);
 then one standard Gamma per alive vertex (the trivial occupation).  The block
 pass (``LoopSoupSampler.assemble``) turns the draws of many replicas into one
-block: it picks the roots, walks the skeletons of all loops of one length
-together, and scales the holds and the trivial occupation.  ``sample`` is the
-one-replica block.  The draw order is the one a loop-by-loop sampler
-follows, and every skeleton, hold and occupation is the same bit for bit
-whatever the replicas a block holds.
+block: it picks the roots, walks the skeletons of loops of every length
+together, longest first in batches of bounded columns, and scales the holds
+and the trivial occupation.  ``sample`` is the one-replica block.  The draw
+order is the one a loop-by-loop sampler follows, and every skeleton, hold and
+occupation is the same bit for bit whatever the replicas a block holds.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .clusters import ClusterPartition
 from .gff import cluster_edges
 from .green import GreenOperator
 from .network import Network
-from .streams import CHUNK_VALUES, replicate_chunks
+from .streams import replicate_chunks
 
 __all__ = [
     "LoopSoupSample",
@@ -75,6 +76,9 @@ LENGTH_CUTOFF_EPS = 1e-9
 
 # the memory of a small Python object (a list, a tuple, an array header) in doubles
 _OBJECT_VALUES = 14
+# the most skeleton-column values a batch of loops is walked with, n per visit
+# for n alive vertices (2 MB); a loop with more visits is walked alone
+_SKELETON_VALUES = 1 << 18
 # the draws of a replica without loops
 _NO_VISITS = np.empty(0)
 _NO_VISITS.flags.writeable = False
@@ -121,8 +125,9 @@ class LoopSoupSampler:
     length law has mass below ``LENGTH_CUTOFF_EPS * m``, using the geometric
     bound ``tr(P^n) <= N rho^n`` with ``rho`` the spectral radius.  Each
     skeleton is filled in from the root's columns ``P^m e_root``, computed for
-    all loops of one length in a block by one sparse-times-dense product per
-    power.
+    a batch of loops of any lengths by one sparse-times-dense product per
+    power: a batch is aligned at its loops' last steps, so the loops that
+    still need the m-th power are a prefix of the batch.
     """
 
     def __init__(self, net: Network, gop: GreenOperator, alpha: float):
@@ -240,23 +245,14 @@ class LoopSoupSampler:
         net, lam = self.network, self._lambda_alive
         lengths = np.array([length for d in draws for length in d[0]], dtype=np.int64)
         replica_starts = np.zeros(len(draws) + 1, dtype=np.int64)
-        np.cumsum([len(d[0]) for d in draws], out=replica_starts[1:])
+        np.array([len(d[0]) for d in draws]).cumsum(out=replica_starts[1:])
         starts = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=starts[1:])
+        lengths.cumsum(out=starts[1:])
         gammas = np.array([d[3] for d in draws])
         positions = np.empty(starts[-1], dtype=np.int64)
         holds = np.empty(0)
         if lengths.size:
-            uniforms = np.concatenate([d[1] for d in draws])
-            # a batch's skeleton columns hold no more values than the chunk's
-            # draws, so they at most double the memory the chunk already takes
-            budget = min(CHUNK_VALUES, 2 * uniforms.size + gammas.size)
-            for length in np.unique(lengths).tolist():
-                loops = np.flatnonzero(lengths == length)
-                batch = max(1, budget // (lam.size * length))
-                for first in range(0, loops.size, batch):
-                    visits = starts[loops[first : first + batch], None] + np.arange(length)
-                    positions[visits] = self._skeletons(uniforms[visits])
+            self._skeletons(lengths, starts, np.concatenate([d[1] for d in draws]), positions)
             # scale * standard draw is how numpy computes exponential(scale),
             # bit for bit, without its slow broadcasting path
             holds = np.concatenate([d[2] for d in draws]) * (1.0 / lam[positions])
@@ -266,32 +262,63 @@ class LoopSoupSampler:
             net.alive[positions], starts, holds, trivial, self.alpha, replica_starts
         )
 
-    def _skeletons(self, u: np.ndarray) -> np.ndarray:
-        """Alive positions of k skeletons of one length L from their (k, L)
-        uniforms: the first picks the root, each other one step."""
-        k, length = u.shape
-        roots = self._root_cdfs[length].searchsorted(u[:, 0], side="right")
+    def _skeletons(self, lengths, starts, u, positions) -> None:
+        """Write into ``positions`` the alive positions of the visits of all
+        loops, from their ``lengths``, their CSR ``starts`` and the visits'
+        uniforms ``u``: a loop's first uniform picks its root, each other one
+        step.  Loops are walked longest first, in batches whose skeleton
+        columns hold at most ``_SKELETON_VALUES`` doubles, or of one loop that
+        needs more."""
+        n = self._p.shape[0]
+        order = (-lengths).argsort(kind="stable")
+        lengths, firsts = lengths[order], starts[order]
+        sizes = lengths.tolist()
+        # loops of one length are a run of the order: one root law each
+        runs = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), len(sizes)]
+        roots = np.empty(len(sizes), dtype=np.int64)
+        for a, b in zip(runs[:-1], runs[1:]):
+            roots[a:b] = self._root_cdfs[sizes[a]].searchsorted(u[firsts[a:b]], side="right")
+        positions[firsts] = roots
+        ends = firsts + lengths
+        # a batch's columns take n doubles per visit
+        visits = lengths.cumsum()
+        first = 0
+        while first < len(sizes):
+            limit = visits[first] - sizes[first] + _SKELETON_VALUES // n
+            last = max(first + 1, int(visits.searchsorted(limit, side="right")))
+            self._walk(lengths[first:last], ends[first:last], roots[first:last], u, positions)
+            first = last
+
+    def _walk(self, lengths, ends, roots, u, positions) -> None:
+        """Walk one batch of loops, ``lengths`` non-increasing, from their
+        ``roots``; a loop's visits end before ``ends``.  The loops are aligned
+        at their last step: with m steps left, loop j takes its step
+        ``lengths[j] - m``, and the loops that have one are a prefix."""
         p = self._p
+        k, top = lengths.size, int(lengths[0])
+        # active[m]: the loops longer than m
+        active = (-lengths).searchsorted(-np.arange(top)).tolist()
         loops = np.arange(k)
-        # cols[m] = P^m E_roots: column j holds the weights of the m-step paths
-        # ending at root j; CSR times a dense block sums each column as a
-        # mat-vec does
+        # cols[m] = P^m E_roots for the first active[m] roots: column j holds
+        # the weights of the m-step paths ending at root j; CSR times a dense
+        # block sums each column as a mat-vec does, so a loop's columns are
+        # the same whatever batch it is walked in
         cols = [np.zeros((p.shape[0], k))]
         cols[0][roots, loops] = 1.0
-        for _ in range(1, length):
-            cols.append(p @ cols[-1])
+        for m in range(1, top):
+            cols.append(p @ cols[-1][:, : active[m]])
         nbrs, weights = self._neighbour_table
-        verts = np.empty((k, length), dtype=np.int64)
-        verts[:, 0] = cur = roots
-        for i in range(1, length):
+        cur = roots.copy()
+        for m in range(top - 1, 0, -1):
+            a = active[m]
+            at, visit = cur[:a], ends[:a] - m
             # each row lists the current vertex's neighbours in CSR order,
             # zero-padded; trailing zeros leave a row's partial sums unchanged
-            row = nbrs[cur]
-            cs = (weights[cur] * cols[length - i][row, loops[:, None]]).cumsum(axis=1)
+            row = nbrs[at]
+            cs = (weights[at] * cols[m][row, loops[:a, None]]).cumsum(axis=1)
             # the count of partial sums <= the threshold is searchsorted(side="right")
-            pick = np.count_nonzero(cs <= (u[:, i] * cs[:, -1])[:, None], axis=1)
-            verts[:, i] = cur = row[loops, pick]
-        return verts
+            pick = (cs <= (u[visit] * cs[:, -1])[:, None]).sum(axis=1)
+            positions[visit] = cur[:a] = row[loops[:a], pick]
 
     @cached_property
     def _neighbour_table(self) -> tuple[np.ndarray, np.ndarray]:

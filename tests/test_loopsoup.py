@@ -16,10 +16,11 @@ from loopfield import (
     sqrt_det_ratio,
     traversed_edges,
 )
+from loopfield import loopsoup
 from loopfield.harness import parse_network_spec
 from loopfield.loopsoup import LENGTH_CUTOFF_EPS
 from loopfield.stats import half_square_cdf, mc_mean, z_score
-from loopfield.streams import derive_stream, replicate
+from loopfield.streams import CHUNK_VALUES, derive_stream, replicate, replicate_chunks
 
 
 def _soup(loops, vertex_count, holds=None):
@@ -368,6 +369,23 @@ def test_sampler_build_peak_memory():
     assert peak < 32 * 2**20
 
 
+def test_block_pass_peak_memory():
+    # walking the chunk's 31k visits in one batch would hold about 99 MB of
+    # skeleton columns here; the block pass holds at most _SKELETON_VALUES
+    net = parse_network_spec("grid:20x20:k=0.1")
+    sampler = LoopSoupSampler(net, compute_green(net), 0.5)
+    (draws,) = replicate_chunks(150, 41, _draw_pass(sampler), sampler.values_per_replica)
+    drawn = sum(d[1].nbytes + d[2].nbytes + d[3].nbytes for d in draws)
+    assert net.alive.size * sum(d[1].nbytes for d in draws) > 64 * 2**20
+    tracemalloc.start()
+    try:
+        sampler.assemble(draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * loopsoup._SKELETON_VALUES + 4 * drawn
+
+
 def _skeleton_reference(net, cutoff):
     """``walk(u)``: the alive positions of a skeleton from its uniforms, by
     cached dense powers and one scalar pick per step."""
@@ -441,3 +459,89 @@ def test_block_equals_one_replica_blocks(spec, alpha):
     for a, b in zip(block.starts[:-1].tolist(), block.starts[1:].tolist()):
         if a < stop:
             assert np.array_equal(block.vertices[a:b], net.alive[walk(u[a:b])])
+
+
+def _one_length_skeletons(sampler, u):
+    """Alive positions of k skeletons of one length L from their (k, L)
+    uniforms, one sparse product per power: the first uniform picks the root,
+    each other one step."""
+    k, length = u.shape
+    roots = sampler._root_cdfs[length].searchsorted(u[:, 0], side="right")
+    p = sampler._p
+    loops = np.arange(k)
+    cols = [np.zeros((p.shape[0], k))]
+    cols[0][roots, loops] = 1.0
+    for _ in range(1, length):
+        cols.append(p @ cols[-1])
+    nbrs, weights = sampler._neighbour_table
+    verts = np.empty((k, length), dtype=np.int64)
+    verts[:, 0] = cur = roots
+    for i in range(1, length):
+        row = nbrs[cur]
+        cs = (weights[cur] * cols[length - i][row, loops[:, None]]).cumsum(axis=1)
+        pick = np.count_nonzero(cs <= (u[:, i] * cs[:, -1])[:, None], axis=1)
+        verts[:, i] = cur = row[loops, pick]
+    return verts
+
+
+def _per_length_positions(sampler, draws):
+    """Alive positions of a chunk's visits walked one length at a time, in
+    batches whose columns hold no more values than the chunk's draws."""
+    lengths = np.array([length for d in draws for length in d[0]], dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(lengths)])
+    uniforms = np.concatenate([d[1] for d in draws])
+    n = sampler._p.shape[0]
+    budget = min(CHUNK_VALUES, 2 * uniforms.size + n * len(draws))
+    positions = np.empty(starts[-1], dtype=np.int64)
+    for length in np.unique(lengths).tolist():
+        loops = np.flatnonzero(lengths == length)
+        batch = max(1, budget // (n * length))
+        for first in range(0, loops.size, batch):
+            visits = starts[loops[first : first + batch], None] + np.arange(length)
+            positions[visits] = _one_length_skeletons(sampler, uniforms[visits])
+    return positions
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["grid:6x6:k=0.1", "path:3", "box:d=2,n=2,mode=absorbing"],
+    ids=["grid6x6-k0.1", "path3", "box-absorbing"],
+)
+def test_packed_batches_equal_per_length_batches(spec, monkeypatch):
+    # limits of a few visits' columns split a length's loops across batches,
+    # mix lengths in a batch and leave the longest loops alone in theirs
+    net = parse_network_spec(spec)
+    sampler = LoopSoupSampler(net, compute_green(net), 0.5)
+    draws = replicate(300, 42, _draw_pass(sampler))
+    n = net.alive.size
+    batches = []
+    walk = sampler._walk
+
+    def recorded(lengths, *rest):
+        batches.append((loopsoup._SKELETON_VALUES // n, lengths.tolist()))
+        walk(lengths, *rest)
+
+    reference = sampler.assemble(draws)
+    assert np.array_equal(reference.vertices, net.alive[_per_length_positions(sampler, draws)])
+    monkeypatch.setattr(sampler, "_walk", recorded)
+    for visits in range(3, 14):
+        monkeypatch.setattr(loopsoup, "_SKELETON_VALUES", n * visits)
+        block = sampler.assemble(draws)
+        for name in ("vertices", "starts", "holds", "trivial_occupation", "replica_starts"):
+            assert np.array_equal(getattr(block, name), getattr(reference, name))
+    split, mixed, alone = set(), False, False
+    for (limit, lengths), (next_limit, next_lengths) in zip(batches, batches[1:]):
+        if limit == next_limit and lengths[-1] == next_lengths[0] and len(lengths) > 1:
+            split.add(lengths[-1])
+    for limit, lengths in batches:
+        assert sum(lengths) <= limit or len(lengths) == 1
+        mixed |= len(set(lengths)) > 1
+        alone |= lengths[0] > limit
+    assert split and mixed and alone
+    # a chunk without loops walks nothing
+    batches.clear()
+    empty = [d for d in draws if not d[0]]
+    block = sampler.assemble(empty)
+    assert block.vertices.size == 0 and not batches
+    assert np.array_equal(block.starts, [0])
+    assert np.array_equal(block.replica_starts, np.zeros(len(empty) + 1))
