@@ -34,6 +34,7 @@ from .harness import (
     _fmt,
     check_output,
     check_seed_and_replicas,
+    check_statistic_replicas,
     edge_pairs,
     parse_network_spec,
     run_experiment,
@@ -209,6 +210,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "couple":
+        check_statistic_replicas(args.replicas)
         net = parse_network_spec(args.net)
         gop = compute_green(net)
         fields, violations = collect_coupled_fields(net, gop, args.replicas, args.seed)

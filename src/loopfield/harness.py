@@ -54,6 +54,7 @@ __all__ = [
     "Report",
     "check_output",
     "check_seed_and_replicas",
+    "check_statistic_replicas",
     "run_experiment",
     "parse_network_spec",
     "EXPERIMENTS",
@@ -80,6 +81,12 @@ def check_seed_and_replicas(seed, replicas) -> tuple[int, int]:
     return seed, replicas
 
 
+def check_statistic_replicas(replicas: int) -> None:
+    """A ConfigError for one replica, whose z-records would pass by construction."""
+    if replicas < 2:
+        raise ConfigError("field 'replicas': must be >= 2, as one replica has no standard error")
+
+
 def check_output(path: str) -> None:
     """A ConfigError unless ``path`` names a file in an existing directory, so
     that a run never ends on an output it cannot write."""
@@ -101,6 +108,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # the echoed config holds the integers the experiment runs with
         seed, replicas = check_seed_and_replicas(self.seed, self.replicas)
+        check_statistic_replicas(replicas)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "replicas", replicas)
         if self.experiment not in EXPERIMENTS:
@@ -370,11 +378,11 @@ def _lambda_grid(values) -> list[float]:
     return grid
 
 
-def _star_half_width(value) -> int:
-    """The box size of a star graph, an integer of at least 2."""
+def _at_least_two(value) -> int:
+    """An integer of at least 2: a star graph's box size, or a replica count."""
     n = _positive(_integer)(value)
     if n < 2:
-        raise ValueError("must be >= 2 for a star graph")
+        raise ValueError("must be >= 2")
     return n
 
 
@@ -382,7 +390,7 @@ def _box_params(d: int, n: int, u: float) -> tuple[Param, ...]:
     """Dimension ``d``, box size ``n`` and intensity ``u`` with these defaults."""
     return (
         Param("d", int, _positive(_integer), d),
-        Param("n", int, _star_half_width, n),
+        Param("n", int, _at_least_two, n),
         Param("u", float, _positive(float), u),
     )
 
@@ -552,7 +560,7 @@ def _exp_interlacement(
             f"{CAPACITY_MARGIN} layers inside the absorbing boundary"
         )
     if star_replicas is None:
-        star_replicas = max(cfg.replicas // 4, 1)
+        star_replicas = max(cfg.replicas // 4, 2)
 
     net = star.network
     cap = compute_capacity(net, [box_vertex_index(d, n, c) for c in coords])
@@ -561,10 +569,12 @@ def _exp_interlacement(
     k_alive = net.alive_pos[list(cap.vertices)]
     occ_star, hit_star = occ_star[:, k_alive], hit_star[:, k_alive]
 
-    records = []
-    for j, x in enumerate(cap.vertices):
-        est, sem = mc_mean(occ_trace[:, j])
-        records.append(z_record(f"occupation-mean-u-v{x}", "E[L^x(I^u)] = u", u, est, sem))
+    means_trace = [mc_mean(column) for column in occ_trace.T]
+    means_star = [mc_mean(column) for column in occ_star.T]
+    records = [
+        z_record(f"occupation-mean-u-v{x}", "E[L^x(I^u)] = u", u, *mean)
+        for x, mean in zip(cap.vertices, means_trace)
+    ]
 
     target_void = math.exp(-u * cap.capacity)
     vacant = "P(K in V^u) = exp(-u cap(K))"
@@ -583,9 +593,7 @@ def _exp_interlacement(
             math.hypot(sem_star, sem_tr),
         )
     )
-    for j, x in enumerate(cap.vertices):
-        m_star, s_star = mc_mean(occ_star[:, j])
-        m_tr, s_tr = mc_mean(occ_trace[:, j])
+    for x, (m_tr, s_tr), (m_star, s_star) in zip(cap.vertices, means_trace, means_star):
         records.append(
             z_record(
                 f"sampler-agreement-occupation-v{x}",
@@ -643,7 +651,7 @@ EXPERIMENTS = {
         (
             *_box_params(3, 6, 0.25),
             Param("k", _points, lambda v: [[_integer(c) for c in point] for point in v], None),
-            Param("star_replicas", int, _positive(_integer), None),
+            Param("star_replicas", int, _at_least_two, None),
         ),
     ),
     "isomorphism-check": Experiment(_exp_isomorphism, False, 20_000, _box_params(2, 5, 0.5)),

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import build_partition
-from .gff import cable_open_probability
+from .gff import cable_open_probability, cluster_edges
 from .green import compute_green
 from .network import Network, NetworkError, build_box_network
 from .stats import TestRecord, mc_mean, z_record
@@ -54,8 +53,6 @@ class StarGraph:
     jump rate at ``x_*``, equal to ``2 d (2n - 1)^(d-1)``.
     """
 
-    dimension: int
-    half_width: int
     network: Network
     star_rate: int
     entry_vertices: np.ndarray
@@ -73,7 +70,7 @@ def build_star_graph(dimension: int, half_width: int) -> StarGraph:
     rate = entry_vertices.size
     expected = 2 * dimension * (2 * half_width - 1) ** (dimension - 1)
     assert rate == expected, (rate, expected)
-    return StarGraph(dimension, half_width, net, rate, entry_vertices, np.flatnonzero(entry))
+    return StarGraph(net, rate, entry_vertices, np.flatnonzero(entry))
 
 
 # -- capacity ---------------------------------------------------------------
@@ -118,7 +115,8 @@ def compute_capacity(net: Network, k_vertices) -> CapacityReport:
 # boxes with no interior killing: every alive vertex then has total rate 2d
 # and its 2d slots are its lattice edges, some of which lead into the
 # absorbing boundary.  The walker reads the slot tables flat: slot s of alive
-# position p is entry ``p * 2d + s``.
+# position p is entry ``p * 2d + s``.  Every hold is a positive exponential
+# time, so a column is visited exactly when its occupation is positive.
 
 
 def _slot_tables(net: Network) -> tuple[np.ndarray, np.ndarray, int]:
@@ -154,9 +152,9 @@ def _run_batch(
     track_edges: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Advance the walkers at alive positions ``pos`` of replicas ``rep`` to
-    absorption.  Returns each replica's occupation and visit flags over the
-    columns that ``cols`` maps alive positions to (-1 untracked), and its
-    traversed-edge flags if ``track_edges``, else None.
+    absorption.  ``cols`` maps every alive position to an output column.
+    Returns each replica's occupation and visit flags (positive occupation)
+    per column, and its traversed-edge flags if ``track_edges``, else None.
 
     Each step draws the holds, then the slots, of the walkers still alive, in
     walker order.  Outputs are flat (replicas * width) arrays indexed by
@@ -166,20 +164,11 @@ def _run_batch(
     target, edge = target.ravel(), edge.ravel()
     width = int(cols.max()) + 1
     occ = np.zeros(replicas * width)
-    visited = np.zeros(occ.size, dtype=bool)
     edges = net.edge_count
     edge_hit = np.zeros(replicas * edges, dtype=bool) if track_edges else None
-    tracks_all = bool(np.all(cols >= 0))
     mean_hold = 1.0 / two_d
     while pos.size:
-        holds = rng.exponential(mean_hold, pos.size)
-        col = cols[pos]
-        at = rep * width + col
-        if not tracks_all:
-            sel = col >= 0
-            at, holds = at[sel], holds[sel]
-        np.add.at(occ, at, holds)
-        visited[at] = True
+        np.add.at(occ, rep * width + cols[pos], rng.exponential(mean_hold, pos.size))
         slot = pos * two_d + rng.integers(0, two_d, pos.size)
         if track_edges:
             edge_hit[rep * edges + edge[slot]] = True
@@ -189,7 +178,8 @@ def _run_batch(
         rep = rep[keep]
     if track_edges:
         edge_hit = edge_hit.reshape(replicas, edges)
-    return occ.reshape(replicas, width), visited.reshape(replicas, width), edge_hit
+    occ = occ.reshape(replicas, width)
+    return occ, occ > 0.0, edge_hit
 
 
 def trace_occupation_batch(
@@ -204,7 +194,8 @@ def trace_occupation_batch(
     Each replica draws ``Poisson(u cap(K))`` forward trajectories started on K
     under the normalized equilibrium measure.  Backward parts are conditioned
     never to return to K, so they contribute nothing to any statistic on K and
-    are not simulated.  Returns ``(occ, visited)`` of shapes (replicas, |K|).
+    are not simulated.  The walk tallies all vertices outside K in one spare
+    column, dropped here.  Returns ``(occ, visited)`` of shapes (replicas, |K|).
     """
     rng = derive_stream(seed, 0)
     counts = rng.poisson(u * cap_report.capacity, replicas)
@@ -213,10 +204,10 @@ def trace_occupation_batch(
     k_alive = net.alive_pos[list(cap_report.vertices)]
     start_pos = k_alive[np.searchsorted(e_cdf, rng.random(rep_ids.size), side="right")]
 
-    cols = np.full(net.alive.size, -1, dtype=np.int64)
+    cols = np.full(net.alive.size, k_alive.size)
     cols[k_alive] = np.arange(k_alive.size)
     occ, visited, _ = _run_batch(net, start_pos, rep_ids, replicas, rng, cols)
-    return occ, visited
+    return occ[:, : k_alive.size], visited[:, : k_alive.size]
 
 
 def star_excursion_batch(
@@ -298,9 +289,9 @@ def levelset_field(
     Realizes ``|phi - sqrt(2u)| = sqrt(2 (L + phi'^2 / 2))``, opens the
     untraversed edges with the cable no-zero probabilities (the occupation at
     the identified boundary is exactly u), and assigns one uniform sign per
-    merged cluster in increasing label order, with the boundary cluster forced
-    to the negative side.  Returns ``(phi, vertex_hit)``, both of shape
-    (replicas, alive vertices).
+    ``cluster_edges`` cluster in increasing label order, with every cluster
+    that meets the boundary (together, the cluster of ``x_*``) forced negative.
+    Returns ``(phi, vertex_hit)``, both of shape (replicas, alive vertices).
     """
     if u <= 0:
         raise ValueError("u must be positive")
@@ -313,30 +304,23 @@ def levelset_field(
     s_full = np.full((replicas, net.vertex_count), float(u))
     s_full[:, net.alive] = occ + 0.5 * phi_prime**2
 
-    # edges between absorbing vertices may open too: their ends share the
-    # boundary cluster whatever happens
+    # edges between absorbing vertices may open too: their ends lie in
+    # clusters that are negative whatever happens
     a, b = net.edge_ends.T
     open_draws = derive_stream(seed, 2).random((replicas, net.edge_count))
     probs = cable_open_probability(net.conductances, np.sqrt(s_full[:, a] * s_full[:, b]))
     is_open = edge_hit | (open_draws < probs)
 
-    # all replicas are labelled at once, replica r's vertex ids offset by r * V;
-    # a star of edges from the first absorbing vertex ties each boundary together
-    v = net.vertex_count
-    offsets = np.arange(0, replicas * v, v)
+    # every cluster holding an absorbing vertex is negative; the roots of the
+    # others, replica by replica and in increasing order within one, take one
+    # sign draw each
+    labels = cluster_edges(is_open, net).labels
     absorbing = np.flatnonzero(~np.isfinite(net.killing))
-    star_edges = np.column_stack([np.full(absorbing.size - 1, absorbing[0]), absorbing[1:]])
-    rows, edges = np.nonzero(is_open)
-    star_ends = (star_edges + offsets[:, None, None]).reshape(-1, 2)
-    ends = np.concatenate([star_ends, net.edge_ends[edges] + offsets[rows, None]])
-    labels = build_partition(replicas * v, ends)
-    # the cluster roots other than the boundary's, replica by replica and in
-    # increasing order within one, take one sign draw each
-    free = labels == np.arange(replicas * v)
-    free[labels[absorbing[0] + offsets]] = False
-    label_sign = np.full(replicas * v, -1.0)
+    free = labels == np.arange(net.vertex_count)
+    free[np.arange(replicas)[:, None], labels[:, absorbing]] = False
+    label_sign = np.full(labels.shape, -1.0)
     label_sign[free] = derive_stream(seed, 3).integers(0, 2, size=np.count_nonzero(free)) * 2 - 1
-    signs = label_sign[labels].reshape(replicas, v)
+    signs = np.take_along_axis(label_sign, labels, axis=1)
 
     phi = math.sqrt(2.0 * u) + signs * np.sqrt(2.0 * s_full)
     return phi[:, net.alive], vertex_hit

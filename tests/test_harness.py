@@ -436,6 +436,18 @@ GRID = PARAMETER + "'lambda_grid': "
             None,
             "error: unrecognized arguments: --star-replica",
         ),
+        # one replica has no standard error, so every z-record would pass
+        (["occupation-field", "--net", "path:3", "--replicas", "1"], None, REPLICAS),
+        (
+            ["connectivity", "--net", "two-vertex", "--x", "0", "--y", "1", "--replicas", "1"],
+            None,
+            REPLICAS,
+        ),
+        (["det-ratio", "--net", "path:3", "--edges", "0-1", "--replicas", "1"], None, REPLICAS),
+        (["interlacement", "--replicas", "1"], None, REPLICAS),
+        (["couple", "--net", "two-vertex", "--replicas", "1"], None, REPLICAS),
+        (None, {"experiment": "coupling-law", "network": "path:3", "replicas": 1}, REPLICAS),
+        (["interlacement", "--star-replicas", "1"], None, PARAMETER + "'star_replicas'"),
     ],
     ids=[
         "vertex-out-of-range",
@@ -509,6 +521,13 @@ GRID = PARAMETER + "'lambda_grid': "
         "interlacement-n-1",
         "levelset-n-1",
         "interlacement-abbreviated-flag",
+        "occupation-one-replica",
+        "connectivity-one-replica",
+        "det-ratio-one-replica",
+        "interlacement-one-replica",
+        "couple-one-replica",
+        "config-one-replica",
+        "interlacement-one-star-replica",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv, config, message):
@@ -625,6 +644,19 @@ def test_cli_sampling_commands(tmp_path, capsys):
     assert (tmp_path / "fields.csv").exists()
     verify = json.loads((tmp_path / "fields.verify.json").read_text())
     assert all(rec["pass"] for rec in verify)
+
+
+def test_sampling_commands_accept_one_replica(capsys):
+    # they print per-replica rows and test nothing, so one replica is enough
+    for argv in (["sample-gff", "--net", "two-vertex"], ["sample-loops", "--net", "path:3"]):
+        assert main([*argv, "--replicas", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_default_star_replicas_have_a_standard_error():
+    # a quarter of 5 replicas rounds down to 1; the star sampler gets 2
+    cfg = ExperimentConfig("interlacement", seed=3, replicas=5, parameters={"d": 2, "n": 4})
+    assert all(math.isfinite(r.stderr) for r in run_experiment(cfg).records)
 
 
 def test_cli_interlacement_default_k_is_the_origin(tmp_path, capsys):
